@@ -1,17 +1,18 @@
 // Serving bench (extension): batched embedding-lookup throughput and tail
-// latency of the inference path (EmbeddingServer) over an out-of-core
-// table, sweeping serving-cache capacity, admission policy, and key skew —
-// the trade-off HugeCTR's hierarchical parameter server navigates with
-// RocksDB as the bottom tier (paper §II-B). The zipfian sweep pits plain
-// LRU against TinyLFU admission (docs/SERVING.md): under skew with a cache
-// a fraction of the keyspace, the frequency sketch keeps the hot head
-// resident while LRU churns it out on the one-hit tail.
+// latency of the serving read path (MakeCachingBackend over the MLKV table
+// adapter) on an out-of-core table, sweeping serving-cache capacity,
+// admission policy, and key skew — the trade-off HugeCTR's hierarchical
+// parameter server navigates with RocksDB as the bottom tier (paper
+// §II-B). The zipfian sweep pits plain LRU against TinyLFU admission
+// (docs/SERVING.md): under skew with a cache a fraction of the keyspace,
+// the frequency sketch keeps the hot head resident while LRU churns it out
+// on the one-hit tail. Hit rate and admission rejects are read from the
+// decorator's mlkv_cache_* metric cells, the same ones /metrics serves.
 //
 // --hedge adds the tail-latency A/B: a two-endpoint loopback cluster where
 // one server is intermittently slow (DelayedBackend), read p50/p99/p999
 // measured client-side with hedging off vs on, plus the extra request
-// volume hedging cost. --hot_replicate_top_k piles load-aware hot-key
-// replication onto the hedged run and reports the endpoint read split.
+// volume hedging cost.
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -31,7 +32,7 @@
 #include "io/temp_dir.h"
 #include "mlkv/mlkv.h"
 #include "net/kv_server.h"
-#include "serve/embedding_server.h"
+#include "obs/metrics.h"
 #include "serve/tinylfu.h"
 
 using namespace mlkv;
@@ -47,6 +48,14 @@ struct Setup {
   uint64_t batches = 2000;
   int threads = 4;
 };
+
+// Sums one metric family's cells (across labels) from a backend's
+// CollectMetrics scrape.
+uint64_t MetricTotal(const KvBackend& backend, const std::string& name) {
+  obs::MetricsSink sink;
+  backend.CollectMetrics(&sink);
+  return static_cast<uint64_t>(sink.Sum(name));
+}
 
 // One admission-sweep row: theta < 0 means uniform traffic.
 void RunRow(const Setup& s, size_t cache_capacity, double theta,
@@ -68,11 +77,15 @@ void RunRow(const Setup& s, size_t cache_capacity, double theta,
     }
   }
 
-  ServeOptions so;
-  so.cache_capacity = cache_capacity;
-  so.cache_admission = admission;
-  EmbeddingServer server(table, so);
+  std::unique_ptr<KvBackend> engine, server;
+  if (!MakeMlkvTableBackend(table, &engine).ok() ||
+      !MakeCachingBackend(std::move(engine), cache_capacity, admission,
+                          &server)
+           .ok()) {
+    std::exit(1);
+  }
 
+  Histogram lat;
   StopWatch watch;
   std::vector<std::thread> workers;
   for (int w = 0; w < s.threads; ++w) {
@@ -81,30 +94,39 @@ void RunRow(const Setup& s, size_t cache_capacity, double theta,
       ZipfianGenerator zg(s.rows, theta < 0 ? 0.99 : theta, 2000 + w);
       std::vector<Key> keys(s.batch);
       std::vector<float> out(s.batch * s.dim);
+      MultiGetOptions serving;
+      serving.untracked = true;
+      serving.init_missing = false;
       for (uint64_t b = 0; b < s.batches / s.threads; ++b) {
         for (auto& k : keys) {
           k = theta < 0 ? rng.Uniform(s.rows) : zg.NextScrambled();
         }
-        if (!server.Lookup(keys, out.data()).ok()) std::exit(1);
+        const StopWatch batch_watch;
+        if (!server->MultiGet(keys, out.data(), serving).AllOk()) {
+          std::exit(1);
+        }
+        lat.Record(batch_watch.ElapsedMicros());
       }
     });
   }
   for (auto& th : workers) th.join();
   const double secs = watch.ElapsedSeconds();
-  const auto st = server.stats();
+  // Every looked-up key probes the cache once: hits + misses = lookups.
+  const uint64_t hits = MetricTotal(*server, "mlkv_cache_hits_total");
+  const uint64_t lookups =
+      hits + MetricTotal(*server, "mlkv_cache_misses_total");
   char dist[32];
   std::snprintf(dist, sizeof(dist), "zipf %.2f", theta);
   t->Cell(theta < 0 ? std::string("uniform") : std::string(dist));
   t->Cell(static_cast<uint64_t>(cache_capacity));
   t->Cell(admission == CacheAdmission::kTinyLfu ? "tinylfu" : "lru");
-  t->Cell(Human(static_cast<double>(st.lookups) / secs));
-  t->Cell(100.0 * static_cast<double>(st.cache_hits) /
-              static_cast<double>(st.lookups),
+  t->Cell(Human(static_cast<double>(lookups) / secs));
+  t->Cell(100.0 * static_cast<double>(hits) / static_cast<double>(lookups),
           "%.1f%%");
-  t->Cell(st.admission_rejects);
-  t->Cell(st.batch_p50_us);
-  t->Cell(st.batch_p99_us);
-  t->Cell(st.batch_p999_us);
+  t->Cell(MetricTotal(*server, "mlkv_cache_admission_rejects_total"));
+  t->Cell(lat.Percentile(0.50));
+  t->Cell(lat.Percentile(0.99));
+  t->Cell(lat.Percentile(0.999));
   t->EndRow();
 }
 
@@ -264,12 +286,10 @@ struct HedgeRowResult {
 // One traffic run against the cluster; per-batch latency measured at the
 // caller (the number an inference service actually serves).
 HedgeRowResult RunHedgeRow(const Setup& s, HedgeCluster* hc, uint64_t hedge_us,
-                           size_t hot_top_k, bool zipf, const char* label,
-                           Table* t) {
+                           const char* label, Table* t) {
   cluster::ClusterBackendOptions co;
   co.endpoints = {hc->servers[0]->addr(), hc->servers[1]->addr()};
   co.hedge_us = hedge_us;
-  co.hot_replicate_top_k = hot_top_k;
   std::unique_ptr<cluster::ClusterBackend> cb;
   if (!cluster::ClusterBackend::Connect(co, &cb).ok()) std::exit(1);
 
@@ -280,15 +300,12 @@ HedgeRowResult RunHedgeRow(const Setup& s, HedgeCluster* hc, uint64_t hedge_us,
   for (int w = 0; w < s.threads; ++w) {
     workers.emplace_back([&, w] {
       Rng rng(1000 + w);
-      ZipfianGenerator zg(s.rows, 0.99, 2000 + w);
       std::vector<Key> keys(s.batch);
       std::vector<float> out(s.batch * s.dim);
       MultiGetOptions untracked;
       untracked.untracked = true;
       for (uint64_t b = 0; b < s.batches / s.threads; ++b) {
-        for (auto& k : keys) {
-          k = zipf ? zg.NextScrambled() : rng.Uniform(s.rows);
-        }
+        for (auto& k : keys) k = rng.Uniform(s.rows);
         const auto t0 = std::chrono::steady_clock::now();
         const BatchResult br = cb->MultiGet(keys, out.data(), untracked);
         if (br.failed > 0) {
@@ -321,23 +338,6 @@ HedgeRowResult RunHedgeRow(const Setup& s, HedgeCluster* hc, uint64_t hedge_us,
   t->Cell(r.p999);
   t->Cell(hs.issued);
   t->Cell(hs.wins);
-  if (hot_top_k != 0) {
-    // Read split across the endpoints: without hot replication the hot
-    // head pins to its primary; with it the split approaches 50/50.
-    uint64_t reqs[2] = {0, 0};
-    size_t i = 0;
-    for (const cluster::EndpointStats& es : cb->endpoint_stats()) {
-      if (i < 2) reqs[i++] = es.requests;
-    }
-    char split[64];
-    std::snprintf(split, sizeof(split), "%llu/%llu hot=%llu",
-                  static_cast<unsigned long long>(reqs[0]),
-                  static_cast<unsigned long long>(reqs[1]),
-                  static_cast<unsigned long long>(cb->hot_reads()));
-    t->Cell(std::string(split));
-  } else {
-    t->Cell("-");
-  }
   t->EndRow();
   return r;
 }
@@ -359,8 +359,7 @@ int main(int argc, char** argv) {
         "             with one intermittently slow server\n"
         "    --hedge_us=500         hedge delay (us); 0 = auto (p99)\n"
         "    --slow_us=3000         injected delay on the slow endpoint\n"
-        "    --slow_every=32        delay every Nth request\n"
-        "    --hot_replicate_top_k=64  add a hot-key replication row\n");
+        "    --slow_every=32        delay every Nth request\n");
     return 0;
   }
   Setup s;
@@ -419,8 +418,6 @@ int main(int argc, char** argv) {
     const uint64_t hedge_us = flags.Int("hedge_us", 500, 6000);
     const uint64_t slow_us = flags.Int("slow_us", 3000, 30000);
     const uint64_t slow_every = flags.Int("slow_every", 32);
-    const size_t hot_top_k =
-        static_cast<size_t>(flags.Int("hot_replicate_top_k", 0));
     Banner("Read hedging A/B: 2-endpoint loopback cluster, one "
            "intermittently slow server");
     std::printf("(endpoint 0 sleeps %llu us on every %llu-th request; "
@@ -432,17 +429,11 @@ int main(int argc, char** argv) {
     HedgeCluster hc;
     if (!hc.Start(s, slow_us, slow_every)) std::exit(1);
     Table ht({"mode", "lookups/s", "p50_us", "p99_us", "p999_us", "hedges",
-              "wins", "ep_reads"});
+              "wins"});
     ht.PrintHeader();
-    const HedgeRowResult off =
-        RunHedgeRow(hs, &hc, 0, 0, /*zipf=*/false, "off", &ht);
+    const HedgeRowResult off = RunHedgeRow(hs, &hc, 0, "off", &ht);
     const HedgeRowResult on = RunHedgeRow(
-        hs, &hc, hedge_us == 0 ? kHedgeAuto : hedge_us, 0, /*zipf=*/false,
-        "hedged", &ht);
-    if (hot_top_k != 0) {
-      RunHedgeRow(hs, &hc, hedge_us == 0 ? kHedgeAuto : hedge_us, hot_top_k,
-                  /*zipf=*/true, "hedged+hot", &ht);
-    }
+        hs, &hc, hedge_us == 0 ? kHedgeAuto : hedge_us, "hedged", &ht);
     hc.Stop();
     const double extra =
         off.rpcs > 0 ? 100.0 * (static_cast<double>(on.rpcs) /

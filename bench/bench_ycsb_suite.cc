@@ -562,8 +562,6 @@ int main(int argc, char** argv) {
                 "  --hedge_us=N | --hedge_auto   when measuring a running\n"
                 "                     cluster: hedge read sub-batches after\n"
                 "                     N us (auto = per-endpoint p99)\n"
-                "  --hot_replicate_top_k=K  spread the K hottest keys'\n"
-                "                     reads across primary + replicas\n"
                 "  --metrics_overhead A/B the observability pipeline over a\n"
                 "                     loopback server: registry + tracing on\n"
                 "                     vs SetMetricsEnabled(false) + tracing\n"
@@ -780,16 +778,14 @@ int main(int argc, char** argv) {
     } else {
       BackendConfig ccfg;
       ccfg.cluster_addrs = addrs;
-      // Client-side tail controls (docs/SERVING.md) only apply when
-      // pointed at a running cluster; the self-hosted A/B keeps them off
-      // so it measures scale-out, not hedging.
+      // Client-side hedging (docs/SERVING.md) only applies when pointed
+      // at a running cluster; the self-hosted A/B keeps it off so it
+      // measures scale-out, not hedging.
       ccfg.cluster_hedge_us = flags.Has("hedge_us")
                                   ? static_cast<uint64_t>(
                                         flags.Int("hedge_us", 0))
                                   : 0;
       if (flags.Bool("hedge_auto", false)) ccfg.cluster_hedge_us = kHedgeAuto;
-      ccfg.cluster_hot_replicate_top_k =
-          static_cast<size_t>(flags.Int("hot_replicate_top_k", 0));
       std::unique_ptr<KvBackend> client;
       if (!MakeBackend(BackendKind::kCluster, ccfg, &client).ok()) {
         std::fprintf(stderr, "cannot reach cluster at %s\n", addrs.c_str());

@@ -105,7 +105,7 @@ fi
 if [[ -x "${bench_dir}/bench_serving" ]]; then
   echo "=== bench_serving --smoke --hedge"
   hedge_log="${log_dir}/bench_serving_hedge.txt"
-  if ! "${bench_dir}/bench_serving" --smoke --hedge --hot_replicate_top_k=64 \
+  if ! "${bench_dir}/bench_serving" --smoke --hedge \
       > "${hedge_log}"; then
     echo "FAILED: bench_serving --hedge" >&2
     failed=1

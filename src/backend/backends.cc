@@ -427,6 +427,17 @@ class MlkvBackend : public KvBackend {
     return Status::OK();
   }
 
+  // Borrows `table` (see MakeMlkvTableBackend); db_ stays null.
+  static Status Wrap(EmbeddingTable* table, std::unique_ptr<KvBackend>* out) {
+    if (table == nullptr) {
+      return Status::InvalidArgument("mlkv table backend needs a table");
+    }
+    auto b = std::unique_ptr<MlkvBackend>(new MlkvBackend(table->dim()));
+    b->table_ = table;
+    *out = std::move(b);
+    return Status::OK();
+  }
+
   std::string name() const override { return "MLKV"; }
   uint32_t dim() const override { return dim_; }
   uint32_t shard_bits() const override {
@@ -510,7 +521,7 @@ class MlkvBackend : public KvBackend {
  private:
   explicit MlkvBackend(uint32_t dim) : dim_(dim) {}
   uint32_t dim_;
-  std::unique_ptr<Mlkv> db_;
+  std::unique_ptr<Mlkv> db_;  // null when the table is borrowed
   EmbeddingTable* table_ = nullptr;
 };
 
@@ -884,20 +895,24 @@ class CachingBackend : public KvBackend {
     if (miss_keys.empty()) return result;
     std::vector<float> rows(miss_keys.size() * size_t{d});
     const BatchResult got = inner_->MultiGet(miss_keys, rows.data(), options);
+    size_t not_found = 0;
     for (size_t m = 0; m < miss_keys.size(); ++m) {
       const size_t i = miss_pos[m];
       if (got.codes[m] == Status::Code::kOk) {
         const float* row = rows.data() + m * size_t{d};
         simd::CopyFloats(out + i * size_t{d}, row, d);
         cache_.Put(miss_keys[m], row);
+      } else if (got.codes[m] == Status::Code::kNotFound) {
+        ++not_found;
       }
       result.Record(i, got.StatusAt(m));
     }
-    // Fresh keys the engine initialized were recorded kOk above (per-key
-    // codes carry no initialized flag); move them found -> missing so the
-    // summary counts match what the engine reported.
-    result.found -= got.missing;
-    result.missing += got.missing;
+    // The engine's `missing` also counts fresh keys it initialized, which
+    // were recorded kOk above (per-key codes carry no initialized flag);
+    // move just those found -> missing. kNotFound keys already counted.
+    const size_t initialized = got.missing - not_found;
+    result.found -= initialized;
+    result.missing += initialized;
     return result;
   }
 
@@ -1103,7 +1118,6 @@ Status MakeBackend(BackendKind kind, const BackendConfig& config,
     o.pool_size = config.remote_pool_size;
     o.max_keys_per_rpc = config.remote_max_keys_per_rpc;
     o.hedge_us = config.cluster_hedge_us;
-    o.hot_replicate_top_k = config.cluster_hot_replicate_top_k;
     return cluster::ClusterBackend::Connect(o, out);
   }
   std::error_code ec;
@@ -1119,6 +1133,11 @@ Status MakeBackend(BackendKind kind, const BackendConfig& config,
     case BackendKind::kCluster: break;  // handled above
   }
   return Status::InvalidArgument("unknown backend kind");
+}
+
+Status MakeMlkvTableBackend(EmbeddingTable* table,
+                            std::unique_ptr<KvBackend>* out) {
+  return MlkvBackend::Wrap(table, out);
 }
 
 Status MakeCachingBackend(std::unique_ptr<KvBackend> inner, size_t capacity,

@@ -47,6 +47,8 @@
 
 namespace mlkv {
 
+class EmbeddingTable;
+
 namespace obs {
 class MetricsSink;
 }  // namespace obs
@@ -280,10 +282,6 @@ struct BackendConfig {
   // 0 disables (default); kHedgeAuto derives the delay per endpoint from
   // its trailing p99. Writes never hedge.
   uint64_t cluster_hedge_us = 0;
-  // kCluster only: route reads for the client's K hottest keys round-robin
-  // across a partition's primary + replicas instead of primary-first.
-  // 0 disables (default).
-  size_t cluster_hot_replicate_top_k = 0;
 };
 
 // Sentinel for cluster_hedge_us: derive the hedge delay per endpoint from
@@ -300,6 +298,12 @@ const char* BackendKindName(BackendKind kind);
 // Factory: builds the requested backend rooted at config.dir.
 Status MakeBackend(BackendKind kind, const BackendConfig& config,
                    std::unique_ptr<KvBackend>* out);
+
+// The kMlkv adapter over a table the caller already holds (trained or
+// recovered; not owned, must outlive the backend). A null table is
+// rejected. Wrap it in MakeCachingBackend for the serving read path.
+Status MakeMlkvTableBackend(EmbeddingTable* table,
+                            std::unique_ptr<KvBackend>* out);
 
 // Wraps `inner` in a serving-side EmbeddingCache decorator: untracked
 // MultiGets probe a sharded LRU of `capacity` rows and only miss through to

@@ -164,9 +164,8 @@ class EmbeddingCache {
     return c;
   }
 
-  // Zeroes the hit/miss/eviction/admission counters (owners expose these
-  // as the single source of truth — see EmbeddingServer::ResetStats).
-  // Cached rows and sketch frequencies are untouched.
+  // Zeroes the hit/miss/eviction/admission counters. Cached rows and
+  // sketch frequencies are untouched.
   void ResetStats() {
     for (auto& s : shard_data_) {
       std::lock_guard<std::mutex> lk(s.mu);

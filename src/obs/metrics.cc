@@ -176,6 +176,14 @@ void MetricsSink::Push(std::string_view name, std::string_view help,
   samples_.push_back(std::move(s));
 }
 
+double MetricsSink::Sum(std::string_view name) const {
+  double total = 0;
+  for (const Sample& s : samples_) {
+    if (s.name == name) total += s.value;
+  }
+  return total;
+}
+
 void MetricsSink::AddCounter(std::string_view name, std::string_view help,
                              uint64_t value,
                              std::initializer_list<Label> labels) {

@@ -204,6 +204,9 @@ class MetricsSink {
                 std::initializer_list<Label> labels = {});
 
   const std::vector<Sample>& samples() const { return samples_; }
+  // Sum of family `name`'s samples across all label sets (0 if absent):
+  // e.g. a per-shard counter's total.
+  double Sum(std::string_view name) const;
 
  private:
   void Push(std::string_view name, std::string_view help, MetricKind kind,

@@ -4,7 +4,9 @@
 // The suite runs each engine in-process and — for MLKV and FASTER — behind
 // a loopback KvServer through RemoteBackend, and across a 2-server
 // loopback cluster through ClusterBackend, so both network boundaries are
-// held to the exact same contract as a linked engine.
+// held to the exact same contract as a linked engine. MLKV also runs under
+// the serving-cache decorator (MakeCachingBackend), which must not change
+// a single per-key outcome or summary count either.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -38,8 +40,9 @@ const char* KindNameOf(BackendKind kind) {
 }
 
 // How the engine is reached: linked in-process, behind one loopback
-// KvServer, or scattered across a 2-server loopback cluster.
-enum class Via { kInProcess, kRemote, kCluster };
+// KvServer, scattered across a 2-server loopback cluster, or linked
+// in-process behind the CachingBackend decorator.
+enum class Via { kInProcess, kRemote, kCluster, kCached };
 
 using ConformanceParam = std::tuple<BackendKind, Via>;
 
@@ -56,6 +59,14 @@ class BackendConformanceTest
     const Via via = std::get<1>(GetParam());
     if (via == Via::kInProcess) {
       ASSERT_TRUE(MakeBackend(std::get<0>(GetParam()), cfg, &backend_).ok());
+      return;
+    }
+    if (via == Via::kCached) {
+      std::unique_ptr<KvBackend> engine;
+      ASSERT_TRUE(MakeBackend(std::get<0>(GetParam()), cfg, &engine).ok());
+      ASSERT_TRUE(
+          MakeCachingBackend(std::move(engine), /*capacity=*/1024, &backend_)
+              .ok());
       return;
     }
     net::KvServerOptions so;
@@ -265,27 +276,33 @@ TEST_P(BackendConformanceTest, MultiGetReportsPerKeyFoundAndMissing) {
   ASSERT_TRUE(backend_->PutEmbedding(10, v.data()).ok());
   ASSERT_TRUE(backend_->PutEmbedding(12, v.data()).ok());
   // Key 11 is absent and appears twice: the duplicate-key path must also
-  // leave missing rows untouched.
+  // leave missing rows untouched. Tracked and untracked (serving) reads
+  // report the same codes and counts; the second untracked pass is served
+  // from the cache where the backend has one.
   std::vector<Key> keys = {10, 11, 12, 13, 11};
-  std::vector<float> out(keys.size() * 8, -7.0f);
-  MultiGetOptions no_init;
-  no_init.init_missing = false;
-  const BatchResult r = backend_->MultiGet(keys, out.data(), no_init);
-  EXPECT_EQ(r.codes[0], Status::Code::kOk);
-  EXPECT_EQ(r.codes[1], Status::Code::kNotFound);
-  EXPECT_EQ(r.codes[2], Status::Code::kOk);
-  EXPECT_EQ(r.codes[3], Status::Code::kNotFound);
-  EXPECT_EQ(r.codes[4], Status::Code::kNotFound);
-  EXPECT_EQ(r.found, 2u);
-  EXPECT_EQ(r.missing, 3u);
-  EXPECT_FALSE(r.AllOk());
-  EXPECT_TRUE(r.status().IsNotFound());
-  EXPECT_TRUE(r.StatusAt(1).IsNotFound());
-  // Found rows are served; missing rows stay untouched.
-  EXPECT_FLOAT_EQ(out[0], 1.5f);
-  EXPECT_FLOAT_EQ(out[8], -7.0f);
-  EXPECT_FLOAT_EQ(out[3 * 8], -7.0f);
-  EXPECT_FLOAT_EQ(out[4 * 8], -7.0f);
+  for (const bool untracked : {false, true, true}) {
+    SCOPED_TRACE(untracked ? "untracked" : "tracked");
+    std::vector<float> out(keys.size() * 8, -7.0f);
+    MultiGetOptions no_init;
+    no_init.init_missing = false;
+    no_init.untracked = untracked;
+    const BatchResult r = backend_->MultiGet(keys, out.data(), no_init);
+    EXPECT_EQ(r.codes[0], Status::Code::kOk);
+    EXPECT_EQ(r.codes[1], Status::Code::kNotFound);
+    EXPECT_EQ(r.codes[2], Status::Code::kOk);
+    EXPECT_EQ(r.codes[3], Status::Code::kNotFound);
+    EXPECT_EQ(r.codes[4], Status::Code::kNotFound);
+    EXPECT_EQ(r.found, 2u);
+    EXPECT_EQ(r.missing, 3u);
+    EXPECT_FALSE(r.AllOk());
+    EXPECT_TRUE(r.status().IsNotFound());
+    EXPECT_TRUE(r.StatusAt(1).IsNotFound());
+    // Found rows are served; missing rows stay untouched.
+    EXPECT_FLOAT_EQ(out[0], 1.5f);
+    EXPECT_FLOAT_EQ(out[8], -7.0f);
+    EXPECT_FLOAT_EQ(out[3 * 8], -7.0f);
+    EXPECT_FLOAT_EQ(out[4 * 8], -7.0f);
+  }
 }
 
 TEST_P(BackendConformanceTest, MultiGetInitializesMissingAndCountsThem) {
@@ -381,6 +398,7 @@ std::string ConformanceParamName(
     case Via::kInProcess: break;
     case Via::kRemote: name += "Remote"; break;
     case Via::kCluster: name += "Cluster"; break;
+    case Via::kCached: name += "Cached"; break;
   }
   return name;
 }
@@ -410,6 +428,13 @@ INSTANTIATE_TEST_SUITE_P(
     ClusterLoopback, BackendConformanceTest,
     ::testing::Values(ConformanceParam{BackendKind::kMlkv, Via::kCluster},
                       ConformanceParam{BackendKind::kFaster, Via::kCluster}),
+    ConformanceParamName);
+
+// And behind the serving-cache decorator: cache hits, fills and write
+// invalidation must be invisible to every contract above.
+INSTANTIATE_TEST_SUITE_P(
+    CachedMlkv, BackendConformanceTest,
+    ::testing::Values(ConformanceParam{BackendKind::kMlkv, Via::kCached}),
     ConformanceParamName);
 
 // The I/O-bound engines fan large batches out in chunks over a per-backend

@@ -525,11 +525,7 @@ TEST(CachingBackendTest, HitsMissesAndWriteInvalidation) {
   auto count = [&](const std::string& name) {
     MetricsSink sink;
     cached->CollectMetrics(&sink);
-    uint64_t total = 0;
-    for (const MetricsSink::Sample& s : sink.samples()) {
-      if (s.name == name) total += static_cast<uint64_t>(s.value);
-    }
-    return total;
+    return static_cast<uint64_t>(sink.Sum(name));
   };
   EXPECT_EQ(count("mlkv_cache_hits_total"), 1u);
   EXPECT_EQ(count("mlkv_cache_misses_total"), 1u);
