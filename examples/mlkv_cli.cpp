@@ -74,7 +74,7 @@ int Usage() {
       "  checkpoint                          checkpoint every open table\n"
       "  serve --addr <h:p> --backend <kind> serve <dir> over TCP\n"
       "        [--dim N] [--workers N] [--staleness N]\n"
-      "        [--io_mode sync|async] [--io_threads N]\n"
+      "        [--io_threads N]\n"
       "        [--durability_mode sync|group] [--checkpoint_mode full|incremental]\n"
       "        [--group_commit_window_us N] [--group_commit_max_bytes N]\n"
       "        [--request_threads N]  offload storage phases off workers\n"
@@ -215,9 +215,6 @@ int RunServe(const std::string& dir, ArgList& args) {
   cfg.staleness_bound = static_cast<uint32_t>(std::strtoul(
       args.Flag("staleness", std::to_string(UINT32_MAX - 1)).c_str(), nullptr,
       10));
-  if (!ParseIoMode(args.Flag("io_mode", "sync"), &cfg.io_mode)) {
-    return Usage();
-  }
   cfg.io_threads = static_cast<size_t>(
       std::strtoul(args.Flag("io_threads", "4").c_str(), nullptr, 10));
   if (!ParseDurabilityMode(args.Flag("durability_mode", "sync"),

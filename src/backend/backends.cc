@@ -74,10 +74,12 @@ Status ReadShardUpdates(ShardedStore* store, uint32_t shard, uint64_t from,
   FasterStore* s = store->shard(shard);
   // Seal before persisting: updates racing with this read must RCU-append
   // above the window instead of rewriting bytes in place, or a cursor that
-  // already passed their address would never be told about them.
-  s->mutable_log()->SealMutableRegion();
+  // already passed their address would never be told about them. The
+  // window ends at the seal, not at the durable watermark: Persist also
+  // covers records appended since, which are still mutable.
+  const Address sealed = s->mutable_log()->SealMutableRegion();
   MLKV_RETURN_NOT_OK(s->Persist());
-  UpdateLogCursor cur(s, from);
+  UpdateLogCursor cur(s, from, sealed);
   UpdateEntry e;
   size_t bytes = 0;
   while (out->size() < max_records && cur.Next(&e)) {
@@ -87,7 +89,7 @@ Status ReadShardUpdates(ShardedStore* store, uint32_t shard, uint64_t from,
   }
   MLKV_RETURN_NOT_OK(cur.status());
   *next_from = cur.position();
-  *durable = s->durable_address();
+  *durable = std::min(s->durable_address(), sealed);
   return Status::OK();
 }
 
@@ -135,6 +137,9 @@ void EmitStoreMetrics(ShardedStore* store, obs::MetricsSink* sink) {
   sink->AddCounter("mlkv_store_promotions_skipped_total",
                    "Promotions skipped (already in memory or superseded)",
                    s.promotions_skipped);
+  sink->AddCounter("mlkv_store_read_promotions_total",
+                   "Disk-served reads copied to the log tail",
+                   s.read_promotions);
   sink->AddCounter("mlkv_store_staleness_waits_total",
                    "Reads that waited out the staleness bound",
                    s.staleness_waits);
@@ -414,7 +419,6 @@ class MlkvBackend : public KvBackend {
     o.lookahead_threads = config.lookahead_threads;
     o.skip_promote_if_in_memory = config.skip_promote_if_in_memory;
     o.busy_spin_limit = config.busy_spin_limit;
-    o.io_mode = config.io_mode;
     o.io_threads = config.io_threads;
     o.durability_mode = config.durability_mode;
     o.group_commit_window_us = config.group_commit_window_us;
@@ -551,10 +555,6 @@ class FasterBackend : public KvBackend {
     // batch_threads > 0 meant intra-batch fan-out before sharding; keep it
     // for the unsharded configuration too.
     o.chunk_single_shard = config.batch_threads > 0;
-    // Read waves stay gated on io_mode; the flush path uses the engine
-    // whenever one exists (group durability creates one even under kSync
-    // reads).
-    o.io = config.io_mode == IoMode::kAsync ? b->io_.get() : nullptr;
     o.store.io = b->io_.get();
     o.store.durability_mode = config.durability_mode;
     o.store.group_commit_window_us = config.group_commit_window_us;
@@ -578,21 +578,9 @@ class FasterBackend : public KvBackend {
         [this, out, bytes, &options](FasterStore* shard, Key key, size_t i,
                                      BatchResult* part, size_t pi,
                                      PendingSink* sink) {
-          float* dst = out + i * size_t{dim_};
-          // Rmw keeps a concurrent initializer from double-inserting: only
-          // the missing case writes, and losers adopt the winner.
-          const uint32_t dim = dim_;
-          const auto init_missing = [shard, key, dst, bytes, dim]() {
-            InitEmbedding(key, dim, dst);
-            return shard->Rmw(key, bytes,
-                              [dst, bytes](char* v, uint32_t, bool exists) {
-                                if (!exists) std::memcpy(v, dst, bytes);
-                                else std::memcpy(dst, v, bytes);
-                              });
-          };
-          BatchReadOrPark(shard, key, dst, bytes, UINT32_MAX,
-                          /*tracked=*/false, part, pi, sink,
-                          options.init_missing ? &init_missing : nullptr);
+          BatchReadOrPark(shard, key, out + i * size_t{dim_}, dim_,
+                          UINT32_MAX, /*tracked=*/false, part, pi, sink,
+                          options.init_missing ? bytes : 0);
         },
         &result);
     return result;
@@ -674,11 +662,9 @@ class FasterBackend : public KvBackend {
     if (config.batch_threads > 0) {
       pool_ = std::make_unique<ThreadPool>(config.batch_threads);
     }
-    if (config.io_mode == IoMode::kAsync || group_) {
-      AsyncIoEngine::Options o;
-      o.io_threads = config.io_threads;
-      io_ = std::make_unique<AsyncIoEngine>(o);
-    }
+    AsyncIoEngine::Options o;
+    o.io_threads = config.io_threads;
+    io_ = std::make_unique<AsyncIoEngine>(o);
   }
 
   // Group-durability epilogue: the batch's records are on disk before the

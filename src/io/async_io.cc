@@ -15,21 +15,6 @@
 
 namespace mlkv {
 
-const char* IoModeName(IoMode mode) {
-  return mode == IoMode::kAsync ? "async" : "sync";
-}
-
-bool ParseIoMode(const std::string& name, IoMode* out) {
-  if (name == "sync") {
-    *out = IoMode::kSync;
-  } else if (name == "async") {
-    *out = IoMode::kAsync;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 const char* DurabilityModeName(DurabilityMode mode) {
   return mode == DurabilityMode::kGroup ? "group" : "sync";
 }

@@ -44,15 +44,8 @@
 
 namespace mlkv {
 
-// Read-path selector plumbed from BackendConfig / MlkvOptions down to the
-// store: kSync is the classic blocking path (and stays byte-identical to
-// it); kAsync routes batched cold reads through a shared AsyncIoEngine.
-enum class IoMode { kSync, kAsync };
-
-const char* IoModeName(IoMode mode);
-bool ParseIoMode(const std::string& name, IoMode* out);
-
-// Write-durability selector plumbed the same way. kSync keeps the classic
+// Write-durability selector plumbed from BackendConfig / MlkvOptions down
+// to the store. kSync keeps the classic
 // behavior byte-identical: page flushes are blocking writes and each sync
 // point is its own fdatasync. kGroup makes batched writes durable per
 // call: the log flushes only dirty/undurable pages (as one async wave when

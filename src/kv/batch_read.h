@@ -2,77 +2,101 @@
 // (EmbeddingTable gets/peeks, FasterBackend::MultiGet). One place owns the
 // sync-vs-pipeline split and the miss-bootstrap contract:
 //
-//  * null `sink` — resolve synchronously (the unchanged blocking path);
+//  * null `sink` — resolve synchronously (the blocking path);
 //  * memory-resident or absent key — resolve inline either way;
 //  * disk-resident key — park a primed PendingRead on the wave, with the
 //    same outcome handling deferred to its finish callback.
 //
-// `init_missing` (pass nullptr for plain reads) initializes the caller's
-// row and stores the bootstrap value when the key is absent; on success
-// the key records as initialized (code kOk, counted missing). It is a
-// templated callable so the warm path constructs no std::function — the
-// copy into the continuation happens only for parked (cold) keys.
+// `init_record_bytes` (0 for plain reads) bootstraps absent keys: the row
+// gets the deterministic initial embedding and a record of that many bytes
+// is stored (see InitMissingRow); the key then records as initialized
+// (code kOk, counted missing).
 #pragma once
 
-#include <functional>
+#include <cstring>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/batch_result.h"
+#include "common/simd.h"
 #include "kv/faster_store.h"
 #include "kv/pending_read.h"
+#include "mlkv/embedding_init.h"
 
 namespace mlkv {
 
-template <typename InitFn>
-inline void BatchReadOrPark(FasterStore* shard, Key key, void* dst,
-                            uint32_t cap, uint32_t bound, bool tracked,
-                            BatchResult* part, size_t part_index,
-                            PendingSink* sink, const InitFn* init_missing) {
-  const auto resolve = [&](Status s) {
-    if (s.IsNotFound() && init_missing != nullptr) {
-      s = (*init_missing)();
-      if (s.ok()) {
-        part->RecordInitialized(part_index);
-        return;
-      }
+// Bootstraps absent `key`: `dst` (dim floats) gets InitEmbedding's vector,
+// stored as a record of `record_bytes` (the embedding, then all-zero
+// optimizer state — the correct initial value for every kind).
+// `chain_head`, when known, is the slot head of the walk that found the key
+// absent: the insert goes in against it with no second walk. If the slot
+// moved since (or the head is unknown), Rmw decides, so racing initializers
+// never double-insert: the first one wins and the others adopt its row.
+inline Status InitMissingRow(FasterStore* shard, Key key, float* dst,
+                             uint32_t dim, uint32_t record_bytes,
+                             const Address* chain_head) {
+  InitEmbedding(key, dim, dst);
+  if (chain_head != nullptr) {
+    const uint32_t emb_bytes = dim * sizeof(float);
+    std::vector<char> record;
+    const void* value = dst;
+    if (record_bytes > emb_bytes) {
+      record.assign(record_bytes, 0);
+      std::memcpy(record.data(), dst, emb_bytes);
+      value = record.data();
     }
-    part->Record(part_index, s);
+    const Status s =
+        shard->InsertIfAbsent(key, value, record_bytes, *chain_head);
+    if (!s.IsBusy()) return s;
+  }
+  return shard->Rmw(key, record_bytes,
+                    [dst, dim](char* value, uint32_t, bool exists) {
+                      float* row = reinterpret_cast<float*>(value);
+                      if (!exists) {
+                        simd::CopyFloats(row, dst, dim);
+                      } else {
+                        simd::CopyFloats(dst, row, dim);
+                      }
+                    });
+}
+
+inline void BatchReadOrPark(FasterStore* shard, Key key, float* dst,
+                            uint32_t dim, uint32_t bound, bool tracked,
+                            BatchResult* part, size_t part_index,
+                            PendingSink* sink,
+                            uint32_t init_record_bytes = 0) {
+  const uint32_t cap = dim * sizeof(float);
+  const auto resolve = [=](const Status& s, const Address* chain_head) {
+    if (!s.IsNotFound() || init_record_bytes == 0) {
+      part->Record(part_index, s);
+      return;
+    }
+    const Status init =
+        InitMissingRow(shard, key, dst, dim, init_record_bytes, chain_head);
+    if (init.ok()) {
+      part->RecordInitialized(part_index);
+    } else {
+      part->Record(part_index, init);
+    }
   };
   if (sink == nullptr) {
     resolve(tracked ? shard->Read(key, dst, cap, nullptr, bound)
-                    : shard->Peek(key, dst, cap));
+                    : shard->Peek(key, dst, cap),
+            nullptr);
     return;
   }
-  PendingRead scratch;  // heap-allocated only if the key actually parks
-  if (shard->StartRead(key, dst, cap, nullptr, bound, tracked, &scratch)) {
-    resolve(scratch.status);
+  std::unique_ptr<PendingRead> pending;
+  Address chain_head = kInvalidAddress;
+  const Status s =
+      shard->StartRead(key, dst, cap, bound, tracked, &pending, &chain_head);
+  if (pending == nullptr) {
+    resolve(s, &chain_head);
     return;
   }
-  std::function<Status()> init;
-  if (init_missing != nullptr) init = *init_missing;
-  sink->Park(shard, std::make_unique<PendingRead>(std::move(scratch)),
-             [init = std::move(init), part, part_index](PendingRead* done) {
-               Status s = done->status;
-               if (s.IsNotFound() && init) {
-                 s = init();
-                 if (s.ok()) {
-                   part->RecordInitialized(part_index);
-                   return;
-                 }
-               }
-               part->Record(part_index, s);
-             });
-}
-
-// Plain read (no miss bootstrap).
-inline void BatchReadOrPark(FasterStore* shard, Key key, void* dst,
-                            uint32_t cap, uint32_t bound, bool tracked,
-                            BatchResult* part, size_t part_index,
-                            PendingSink* sink) {
-  BatchReadOrPark<std::function<Status()>>(shard, key, dst, cap, bound,
-                                           tracked, part, part_index, sink,
-                                           nullptr);
+  sink->Park(shard, std::move(pending), [resolve](PendingRead* done) {
+    resolve(done->status, &done->chain_head);
+  });
 }
 
 }  // namespace mlkv

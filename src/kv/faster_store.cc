@@ -51,6 +51,19 @@ uint64_t TransformControl(std::atomic<uint64_t>* control, Fn transform) {
   }
 }
 
+// Disk chain hops a pending read follows before giving up on the async
+// path and falling back to the blocking walk. Chains this deep mean the
+// index is drastically undersized; the fallback keeps semantics exact.
+constexpr uint32_t kMaxPendingHops = 4;
+
+void ParseRecordHeader(const char* hdr, RecordMeta* meta) {
+  std::memcpy(&meta->control, hdr + 0, 8);
+  std::memcpy(&meta->prev, hdr + 8, 8);
+  std::memcpy(&meta->key, hdr + 16, 8);
+  std::memcpy(&meta->value_size, hdr + 24, 4);
+  std::memcpy(&meta->flags, hdr + 28, 4);
+}
+
 }  // namespace
 
 Status FasterStore::Open(const FasterOptions& options) {
@@ -83,16 +96,12 @@ HybridLogOptions FasterStore::LogOptions(bool truncate) const {
 }
 
 Status FasterStore::LoadMeta(Address address, RecordMeta* meta,
-                             bool* in_memory) {
+                             bool* in_memory, bool memory_only) {
   for (;;) {
     if (address >= log_.head_address()) {
       char buf[sizeof(Record)];
       if (log_.TryReadMemory(address, buf, sizeof(buf))) {
-        std::memcpy(&meta->control, buf + 0, 8);
-        std::memcpy(&meta->prev, buf + 8, 8);
-        std::memcpy(&meta->key, buf + 16, 8);
-        std::memcpy(&meta->value_size, buf + 24, 4);
-        std::memcpy(&meta->flags, buf + 28, 4);
+        ParseRecordHeader(buf, meta);
         *in_memory = true;
         return Status::OK();
       }
@@ -104,6 +113,7 @@ Status FasterStore::LoadMeta(Address address, RecordMeta* meta,
       }
     }
     *in_memory = false;
+    if (memory_only) return Status::OK();
     return log_.ReadFromDisk(address, meta, nullptr, 0);
   }
 }
@@ -126,17 +136,22 @@ Status FasterStore::LoadValue(Address address, const RecordMeta& meta,
   }
 }
 
-Status FasterStore::Find(Key key, FindResult* out) {
+Status FasterStore::Find(Key key, FindResult* out, bool memory_only) {
 restart:
   Address a = index()->Load(key);
   out->chain_head = a;
+  out->disk_stop = kInvalidAddress;
   // Addresses below the begin boundary are log garbage: every record that
   // was live when the boundary moved has a newer copy above it, so the walk
   // treats them as end-of-chain.
   while (a != kInvalidAddress && a >= log_.begin_address()) {
     RecordMeta meta;
     bool in_memory = false;
-    MLKV_RETURN_NOT_OK(LoadMeta(a, &meta, &in_memory));
+    MLKV_RETURN_NOT_OK(LoadMeta(a, &meta, &in_memory, memory_only));
+    if (!in_memory && memory_only) {
+      out->disk_stop = a;  // the pending-read wave fetches from here
+      break;
+    }
     if (a < log_.begin_address()) {
       // Compaction advanced past `a` between the boundary check and the
       // load; the bytes read may already be punched. The live version (if
@@ -227,13 +242,15 @@ Status FasterStore::Peek(Key key, void* out, uint32_t cap, uint32_t* size) {
 
 Status FasterStore::ReadInternal(Key key, void* out, uint32_t cap,
                                  uint32_t* size, uint32_t bound,
-                                 bool tracked) {
+                                 bool tracked, FindResult* walk) {
   const uint32_t effective_bound =
       bound != UINT32_MAX ? bound : options_.staleness_bound;
   uint64_t spins = 0;
+  FindResult local;
+  FindResult& f = walk != nullptr ? *walk : local;
   for (;;) {
-    FindResult f;
-    MLKV_RETURN_NOT_OK(Find(key, &f));
+    MLKV_RETURN_NOT_OK(Find(key, &f, /*memory_only=*/walk != nullptr));
+    if (f.disk_stop != kInvalidAddress) return Status::OK();  // caller parks
     if (!f.found || (f.meta.flags & kRecordTombstone)) {
       return Status::NotFound();
     }
@@ -255,15 +272,8 @@ Status FasterStore::ReadInternal(Key key, void* out, uint32_t cap,
         continue;
       }
       MLKV_RETURN_NOT_OK(LoadValue(f.address, f.meta, out, cap));
-      if (options_.promote_cold_reads && !f.in_memory) {
-        // Carry the read's increment onto the promoted copy.
-        const uint64_t control =
-            tracked ? ControlWord::IncrStaleness(f.meta.control)
-                    : f.meta.control;
-        AppendAndPublish(key, out,
-                         f.meta.value_size < cap ? f.meta.value_size : cap,
-                         control, f.meta.flags, f.chain_head, nullptr)
-            .ok();  // best-effort; a racing writer supersedes us anyway
+      if (!f.in_memory) {
+        CopyReadToTail(key, out, cap, f.meta, tracked, f.chain_head);
       }
       return Status::OK();
     }
@@ -312,114 +322,50 @@ Status FasterStore::ReadInternal(Key key, void* out, uint32_t cap,
   }
 }
 
-namespace {
-// Disk chain hops a pending read follows before giving up on the async
-// path and falling back to the blocking walk. Chains this deep mean the
-// index is drastically undersized; the fallback keeps semantics exact.
-constexpr uint32_t kMaxPendingHops = 4;
-
-void ParseRecordHeader(const char* hdr, RecordMeta* meta) {
-  std::memcpy(&meta->control, hdr + 0, 8);
-  std::memcpy(&meta->prev, hdr + 8, 8);
-  std::memcpy(&meta->key, hdr + 16, 8);
-  std::memcpy(&meta->value_size, hdr + 24, 4);
-  std::memcpy(&meta->flags, hdr + 28, 4);
-}
-}  // namespace
-
-// Memory-only chain walk for phase 1 of the pending pipeline: classifies
-// `key` without issuing any disk I/O. kMemory means the matching record is
-// (still) memory-resident; kDisk stops at the first disk-resident chain
-// address (*address), where the async fetch picks up.
-FasterStore::WalkOutcome FasterStore::WalkForPending(Key key,
-                                                     Address* address,
-                                                     Address* chain_head) {
-restart:
-  Address a = index()->Load(key);
-  *chain_head = a;
-  while (a != kInvalidAddress && a >= log_.begin_address()) {
-    if (!log_.InMemory(a)) break;  // disk-resident: park
-    char hdr[sizeof(Record)];
-    if (!log_.TryReadMemory(a, hdr, sizeof(hdr))) {
-      if (log_.InMemory(a)) {
-        // Frame replaced mid-read but still resident — transient (page
-        // being claimed); retry.
-        std::this_thread::yield();
-        continue;
-      }
-      break;  // evicted mid-walk: now disk-resident
-    }
-    RecordMeta meta;
-    ParseRecordHeader(hdr, &meta);
-    if (a < log_.begin_address()) goto restart;  // compaction passed us
-    if (meta.key == key) return WalkOutcome::kMemory;
-    a = meta.prev;
-  }
-  if (a == kInvalidAddress || a < log_.begin_address()) {
-    return WalkOutcome::kNotFound;
-  }
-  *address = a;
-  return WalkOutcome::kDisk;
-}
-
-bool FasterStore::StartRead(Key key, void* out, uint32_t cap, uint32_t* size,
-                            uint32_t bound, bool tracked,
-                            PendingRead* pending) {
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
-  PendingRead* p = pending;
+std::unique_ptr<PendingRead> FasterStore::Prime(Key key,
+                                                const FindResult& walk,
+                                                void* out, uint32_t cap,
+                                                uint32_t bound, bool tracked) {
+  auto p = std::make_unique<PendingRead>();
   p->key = key;
+  p->address = walk.disk_stop;
+  p->chain_head = walk.chain_head;
   p->out = out;
   p->cap = cap;
-  p->size = size;
-  p->bound = bound != UINT32_MAX ? bound : options_.staleness_bound;
+  p->bound = bound;
   p->tracked = tracked;
-  p->hops = 0;
-  p->served_from_disk = false;
-
-  switch (WalkForPending(key, &p->address, &p->chain_head)) {
-    case WalkOutcome::kMemory:
-      // Memory-resident: the blocking path resolves it with no disk I/O
-      // (should an eviction demote it this instant, that path's disk
-      // fallback is exactly the old behavior).
-      p->status = ReadInternal(key, out, cap, size, p->bound, tracked);
-      return true;
-    case WalkOutcome::kNotFound:
-      p->status = Status::NotFound();
-      return true;
-    case WalkOutcome::kDisk:
-      break;
-  }
   p->buf.resize(sizeof(Record) + cap);
-  return false;
+  return p;
 }
 
-Status FasterStore::StartPromote(Key key, uint32_t cap, PendingRead* pending,
-                                 bool* parked) {
-  PendingRead* p = pending;
-  *parked = false;
-  p->key = key;
-  p->out = nullptr;  // PromoteFromPending copies straight from the buffer
-  p->cap = cap;
-  p->size = nullptr;
-  p->bound = UINT32_MAX;
-  p->tracked = false;  // a prefetch never touches the vector clocks
-  p->hops = 0;
-  p->served_from_disk = false;
-
-  switch (WalkForPending(key, &p->address, &p->chain_head)) {
-    case WalkOutcome::kMemory:
-      // In memory: the classic Promote decides (skip if mutable, skip if
-      // immutable-resident under the paper's page-write-saving rule) with
-      // no disk I/O.
-      return Promote(key);
-    case WalkOutcome::kNotFound:
-      return Status::NotFound();
-    case WalkOutcome::kDisk:
-      break;
+Status FasterStore::StartRead(Key key, void* out, uint32_t cap,
+                              uint32_t bound, bool tracked,
+                              std::unique_ptr<PendingRead>* pending,
+                              Address* chain_head) {
+  stats_.reads.fetch_add(1, std::memory_order_relaxed);
+  const uint32_t effective_bound =
+      bound != UINT32_MAX ? bound : options_.staleness_bound;
+  FindResult walk;
+  Status s = ReadInternal(key, out, cap, nullptr, effective_bound, tracked,
+                          &walk);
+  if (chain_head != nullptr) *chain_head = walk.chain_head;
+  if (walk.disk_stop != kInvalidAddress) {
+    *pending = Prime(key, walk, out, cap, effective_bound, tracked);
   }
-  p->buf.resize(sizeof(Record) + cap);
-  *parked = true;
-  return Status::OK();
+  return s;
+}
+
+Status FasterStore::StartPromote(Key key, uint32_t cap,
+                                 std::unique_ptr<PendingRead>* pending) {
+  FindResult walk;
+  Status s = PromoteInternal(key, &walk);
+  if (walk.disk_stop != kInvalidAddress) {
+    // No caller buffer: PromoteFromPending copies straight from the landing
+    // buffer, and a prefetch never touches the vector clocks.
+    *pending = Prime(key, walk, /*out=*/nullptr, cap, UINT32_MAX,
+                     /*tracked=*/false);
+  }
+  return s;
 }
 
 void FasterStore::RefetchPending(PendingRead* pending) {
@@ -433,8 +379,7 @@ void FasterStore::RefetchPending(PendingRead* pending) {
     return;
   }
   pending->status = ReadInternal(pending->key, pending->out, pending->cap,
-                                 pending->size, pending->bound,
-                                 pending->tracked);
+                                 nullptr, pending->bound, pending->tracked);
 }
 
 FasterStore::PendingStep FasterStore::CompletePendingRead(
@@ -485,19 +430,32 @@ FasterStore::PendingStep FasterStore::CompletePendingRead(
   if (p->out != nullptr && n > 0) {
     std::memcpy(p->out, p->buf.data() + sizeof(Record), n);
   }
-  if (p->size != nullptr) *p->size = meta.value_size;
   p->meta = meta;
   p->served_from_disk = true;
-  if (options_.promote_cold_reads && p->out != nullptr) {
-    // Carry the read's increment onto the promoted copy (sync parity).
-    const uint64_t control =
-        p->tracked ? ControlWord::IncrStaleness(meta.control) : meta.control;
-    AppendAndPublish(p->key, p->out, n, control, meta.flags, p->chain_head,
-                     nullptr)
-        .ok();  // best-effort; a racing writer supersedes us anyway
+  if (p->out != nullptr) {
+    CopyReadToTail(p->key, p->buf.data() + sizeof(Record), p->cap, meta,
+                   p->tracked, p->chain_head);
   }
   p->status = Status::OK();
   return PendingStep::kDone;
+}
+
+void FasterStore::CopyReadToTail(Key key, const void* value, uint32_t cap,
+                                 const RecordMeta& meta, bool tracked,
+                                 Address chain_head) {
+  // A truncated copy would drop the rest of the record (e.g. optimizer
+  // state behind the embedding), so only whole values move.
+  if (!options_.promote_cold_reads || meta.value_size > cap) return;
+  // Carry a tracked read's increment onto the copy.
+  uint64_t control = ControlWord::Sanitize(meta.control);
+  if (tracked) control = ControlWord::IncrStaleness(control);
+  // Best-effort: a lost CAS means a racing writer already superseded the
+  // record.
+  if (AppendAndPublish(key, value, meta.value_size, control, meta.flags,
+                       chain_head, nullptr)
+          .ok()) {
+    stats_.read_promotions.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 Status FasterStore::PromoteFromPending(const PendingRead& pending) {
@@ -522,6 +480,15 @@ Status FasterStore::PromoteFromPending(const PendingRead& pending) {
   MLKV_RETURN_NOT_OK(s);
   MarkReplaced(pending.address);
   stats_.promotions.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+Status FasterStore::InsertIfAbsent(Key key, const void* value, uint32_t size,
+                                   Address expected_head) {
+  MLKV_RETURN_NOT_OK(AppendAndPublish(key, value, size,
+                                      ControlWord::Make(0, 0), 0,
+                                      expected_head, nullptr));
+  stats_.inserts.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -681,10 +648,14 @@ Status FasterStore::Delete(Key key) {
   }
 }
 
-Status FasterStore::Promote(Key key) {
+Status FasterStore::Promote(Key key) { return PromoteInternal(key, nullptr); }
+
+Status FasterStore::PromoteInternal(Key key, FindResult* walk) {
+  FindResult local;
+  FindResult& f = walk != nullptr ? *walk : local;
   for (;;) {
-    FindResult f;
-    MLKV_RETURN_NOT_OK(Find(key, &f));
+    MLKV_RETURN_NOT_OK(Find(key, &f, /*memory_only=*/walk != nullptr));
+    if (f.disk_stop != kInvalidAddress) return Status::OK();  // caller parks
     if (!f.found || (f.meta.flags & kRecordTombstone)) {
       return Status::NotFound();
     }
@@ -778,11 +749,7 @@ Status FasterStore::Compact(Address until, CompactionResult* result) {
       if (page_end - a < sizeof(Record)) break;
       RecordMeta meta;
       const char* rec = page.data() + (a - page_start);
-      std::memcpy(&meta.control, rec + 0, 8);
-      std::memcpy(&meta.prev, rec + 8, 8);
-      std::memcpy(&meta.key, rec + 16, 8);
-      std::memcpy(&meta.value_size, rec + 24, 4);
-      std::memcpy(&meta.flags, rec + 28, 4);
+      ParseRecordHeader(rec, &meta);
       if ((meta.flags & kRecordValid) == 0) {
         // Invalid header: either page-roll gap fill (all zero — skip the
         // rest of the page) or a record retracted after a lost index CAS
@@ -1130,6 +1097,7 @@ FasterStatsSnapshot FasterStore::stats() const {
   s.promotions = stats_.promotions.load(std::memory_order_relaxed);
   s.promotions_skipped =
       stats_.promotions_skipped.load(std::memory_order_relaxed);
+  s.read_promotions = stats_.read_promotions.load(std::memory_order_relaxed);
   s.staleness_waits = stats_.staleness_waits.load(std::memory_order_relaxed);
   s.busy_aborts = stats_.busy_aborts.load(std::memory_order_relaxed);
   s.compactions = stats_.compactions.load(std::memory_order_relaxed);
@@ -1168,6 +1136,7 @@ void FasterStore::ResetStats() {
   stats_.rcu_appends.store(0);
   stats_.promotions.store(0);
   stats_.promotions_skipped.store(0);
+  stats_.read_promotions.store(0);
   stats_.staleness_waits.store(0);
   stats_.busy_aborts.store(0);
   stats_.async_reads_submitted.store(0);

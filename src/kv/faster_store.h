@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,8 +51,10 @@ struct FasterOptions {
   // default is shared across layers (kv/record.h).
   uint64_t busy_spin_limit = kDefaultBusySpinLimit;
 
-  // Promote records touched by cold Gets to the tail (FASTER's
-  // "copy reads to tail"). Off by default; Lookahead drives promotion.
+  // Copy records served by disk reads to the tail (FASTER's "copy reads
+  // to tail"), so the update that follows a read runs in place instead of
+  // re-finding the key on disk. Off by default (the FASTER baseline); MLKV
+  // tables turn it on. Values longer than the read's buffer stay put.
   bool promote_cold_reads = false;
   // Ablation knob (DESIGN.md D2): when false, Promote() also copies records
   // from the immutable in-memory region, re-dirtying pages.
@@ -62,7 +65,8 @@ struct FasterOptions {
   std::function<std::unique_ptr<FileDevice>()> device_factory;
 
   // Shared engine for the log's coalesced flush waves (page roll, FlushAll,
-  // Persist); null keeps flushes sequential blocking writes. Not owned.
+  // Persist) and ShardedStore's pending-read waves; null keeps flushes
+  // sequential blocking writes and batched reads blocking. Not owned.
   AsyncIoEngine* io = nullptr;
   // kGroup: Persist() commits through a per-log GroupCommitter (concurrent
   // callers share one fsync) and Recover() replays group-committed records
@@ -81,6 +85,9 @@ struct FasterStatsSnapshot {
   uint64_t reads = 0, upserts = 0, rmws = 0, deletes = 0;
   uint64_t inplace_updates = 0, rcu_appends = 0, inserts = 0;
   uint64_t promotions = 0, promotions_skipped = 0;
+  // Disk-served reads copied to the tail (promote_cold_reads), counted
+  // apart from Lookahead's promotions.
+  uint64_t read_promotions = 0;
   uint64_t staleness_waits = 0, busy_aborts = 0;
   uint64_t disk_record_reads = 0, pages_flushed = 0, pages_evicted = 0;
   uint64_t compactions = 0, compaction_live_copied = 0;
@@ -147,26 +154,36 @@ class FasterStore {
   // Returns OK whether promoted or skipped; inspect stats for which.
   Status Promote(Key key);
 
+  // Inserts an absent `key` (generation 0, staleness 0) against
+  // `expected_head`: the index slot head of the chain walk that found the
+  // key absent, so no second walk is needed. Busy when the slot moved since
+  // (a racing publish may have inserted the key); the caller re-decides,
+  // e.g. with Rmw.
+  Status InsertIfAbsent(Key key, const void* value, uint32_t size,
+                        Address expected_head);
+
   // --- Two-phase pending-read pipeline (kv/pending_read.h) ---
 
-  // Phase 1 of a batched read: resolves `key` against the in-memory log
-  // only. Returns true when the read completed (pending->status and the
-  // output buffer are final — including NotFound and Busy, with the exact
-  // synchronous semantics); returns false when the newest candidate record
-  // is disk-resident, in which case *pending is primed (target address +
-  // landing buffer) for submission through a PendingReadWave. Never issues
-  // disk I/O itself. `bound == UINT32_MAX` uses the store-level bound.
-  bool StartRead(Key key, void* out, uint32_t cap, uint32_t* size,
-                 uint32_t bound, bool tracked, PendingRead* pending);
+  // Phase 1 of a batched read: Read (`tracked`) or Peek with one chain walk
+  // over the in-memory log, never issuing disk I/O. When the read completed
+  // *pending stays null and the returned status is final with the exact
+  // blocking semantics (including NotFound and Busy). When the walk reached
+  // a disk-resident address, *pending is a PendingRead primed for a
+  // PendingReadWave (the returned status is then OK). Either way
+  // *chain_head (when non-null) is the index slot head the walk started
+  // from. `bound == UINT32_MAX` uses the store-level bound.
+  Status StartRead(Key key, void* out, uint32_t cap, uint32_t bound,
+                   bool tracked, std::unique_ptr<PendingRead>* pending,
+                   Address* chain_head = nullptr);
 
-  // Phase 1 of a Lookahead promotion: memory-resident and absent keys run
-  // the classic Promote inline (its status is returned, *parked stays
-  // false); a disk-resident key primes *pending for wave submission (`cap`
-  // must cover the full record value) — finish it with PromoteFromPending.
+  // Phase 1 of a Lookahead promotion: Promote over the in-memory log only.
+  // Memory-resident and absent keys complete inline (*pending stays null,
+  // the status is final); a disk-resident key primes *pending (`cap` must
+  // cover the full record value) — finish it with PromoteFromPending.
   // Unlike StartRead this never counts as a read: a prefetch is not a
   // training access.
-  Status StartPromote(Key key, uint32_t cap, PendingRead* pending,
-                      bool* parked);
+  Status StartPromote(Key key, uint32_t cap,
+                      std::unique_ptr<PendingRead>* pending);
 
   enum class PendingStep { kDone, kResubmit };
   // Phase 2: consumes the landed bytes in pending->buf. kDone means the
@@ -276,6 +293,9 @@ class FasterStore {
     // CAS the slot from this value and link the new record's prev to it, so
     // colliding keys in one slot keep a single consistent chain.
     Address chain_head = kInvalidAddress;
+    // Memory-only walks: the first disk-resident chain address, where the
+    // walk stopped (found stays false); kInvalidAddress otherwise.
+    Address disk_stop = kInvalidAddress;
     RecordMeta meta;
     bool in_memory = false;
     bool found = false;
@@ -284,24 +304,41 @@ class FasterStore {
   // Shared implementation for Read/Peek; `tracked` selects whether the
   // bounded-staleness protocol applies. Does not bump the reads stat (the
   // public entry points and StartRead own that, so a pending read that
-  // falls back to this path is still counted once).
+  // falls back to this path is still counted once). With `walk` non-null
+  // the chain walk is memory-only: on reaching a disk-resident address it
+  // returns OK with walk->disk_stop set and nothing read; either way *walk
+  // holds the last walk's result.
   Status ReadInternal(Key key, void* out, uint32_t cap, uint32_t* size,
-                      uint32_t bound, bool tracked);
+                      uint32_t bound, bool tracked,
+                      FindResult* walk = nullptr);
+  // Promote, with the same memory-only `walk` contract as ReadInternal.
+  Status PromoteInternal(Key key, FindResult* walk);
+  // A PendingRead primed to fetch the record image at walk.disk_stop.
+  static std::unique_ptr<PendingRead> Prime(Key key, const FindResult& walk,
+                                            void* out, uint32_t cap,
+                                            uint32_t bound, bool tracked);
   // Synchronous fallback for an in-flight pending read whose record moved
   // (or whose staleness needs the blocking wait); finalizes *pending.
   void RefetchPending(PendingRead* pending);
-  // Memory-only chain walk shared by StartRead / StartPromote.
-  enum class WalkOutcome { kMemory, kDisk, kNotFound };
-  WalkOutcome WalkForPending(Key key, Address* address, Address* chain_head);
+  // FASTER's copy-reads-to-tail (promote_cold_reads) for a disk-served
+  // read of `meta`'s record; `value` holds min(value_size, cap) bytes.
+  void CopyReadToTail(Key key, const void* value, uint32_t cap,
+                      const RecordMeta& meta, bool tracked,
+                      Address chain_head);
 
   // Loads the record header at `address`, transparently falling back to the
-  // disk image if the frame is evicted mid-read.
-  Status LoadMeta(Address address, RecordMeta* meta, bool* in_memory);
+  // disk image if the frame is evicted mid-read — unless `memory_only`, in
+  // which case a disk-resident address returns OK with *in_memory false and
+  // *meta untouched.
+  Status LoadMeta(Address address, RecordMeta* meta, bool* in_memory,
+                  bool memory_only = false);
   // Copies the value bytes of the record at `address`.
   Status LoadValue(Address address, const RecordMeta& meta, void* out,
                    uint32_t cap);
-  // Walks the hash chain from the index slot looking for `key`.
-  Status Find(Key key, FindResult* out);
+  // Walks the hash chain from the index slot looking for `key`. With
+  // `memory_only` the walk stops at the first disk-resident address
+  // (out->disk_stop) instead of reading it.
+  Status Find(Key key, FindResult* out, bool memory_only = false);
 
   // Appends a record and publishes it via index CAS against `expected`.
   // On publish failure the appended record is abandoned (log garbage) and
@@ -321,6 +358,7 @@ class FasterStore {
     std::atomic<uint64_t> reads{0}, upserts{0}, rmws{0}, deletes{0};
     std::atomic<uint64_t> inplace_updates{0}, rcu_appends{0}, inserts{0};
     std::atomic<uint64_t> promotions{0}, promotions_skipped{0};
+    std::atomic<uint64_t> read_promotions{0};
     std::atomic<uint64_t> staleness_waits{0}, busy_aborts{0};
     std::atomic<uint64_t> compactions{0}, compaction_live_copied{0};
     std::atomic<uint64_t> async_reads_submitted{0}, async_reads_completed{0};

@@ -1,10 +1,10 @@
 // The pending-read half of the two-phase batched read pipeline.
 //
-// Phase 1 (FasterStore::StartRead) resolves a key against the in-memory
-// log: memory-resident records complete inline with the exact synchronous
-// semantics, and disk-resident ones prime a PendingRead — the key's
-// continuation state (target address, landing buffer, output slot, and the
-// staleness-tracking inputs of the read).
+// Phase 1 (FasterStore::StartRead) resolves a key with one walk over the
+// in-memory log: memory-resident records complete inline with the exact
+// synchronous semantics, and only keys whose chain reaches the disk get a
+// PendingRead — the key's continuation state (target address, landing
+// buffer, output slot, and the staleness-tracking inputs of the read).
 //
 // Phase 2 collects every PendingRead a batch produced — across shard
 // sub-batches — into one PendingReadWave, submits all of their record
@@ -39,7 +39,6 @@ struct PendingRead {
   Address chain_head = kInvalidAddress;
   void* out = nullptr;  // caller's value buffer (null: header-only read)
   uint32_t cap = 0;
-  uint32_t* size = nullptr;
   uint32_t bound = UINT32_MAX;  // effective staleness bound
   bool tracked = false;
   uint32_t hops = 0;  // disk chain hops taken so far

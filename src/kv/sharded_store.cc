@@ -30,9 +30,6 @@ bool ShardedStore::CheckpointExists(const ShardedStoreOptions& options,
 }
 
 FasterOptions ShardedStore::ShardOptions(size_t i) const {
-  // Note options_.io (the batched-read wave engine) and options_.store.io
-  // (each shard's flush-wave engine) are set independently by the caller:
-  // group durability wants coalesced flushes even when reads stay blocking.
   FasterOptions o = options_.store;
   if (options_.shard_bits == 0) return o;
   o.path = ShardFilePath(options_.store.path, static_cast<uint32_t>(i),
@@ -258,7 +255,7 @@ void ShardedStore::RunTasks(const std::vector<SubBatch>& tasks,
 void ShardedStore::MultiExecuteRead(std::span<const Key> keys,
                                     const ShardReadOp& op,
                                     BatchResult* result, bool stop_on_error) {
-  AsyncIoEngine* io = options_.io;
+  AsyncIoEngine* io = options_.store.io;
   if (io == nullptr || stop_on_error || keys.size() <= 1) {
     // No engine, the fail-fast legacy contract, or a single key (nothing
     // to overlap): the unchanged blocking path, op with a null sink.
@@ -406,6 +403,7 @@ FasterStatsSnapshot ShardedStore::stats() const {
     total.inserts += s.inserts;
     total.promotions += s.promotions;
     total.promotions_skipped += s.promotions_skipped;
+    total.read_promotions += s.read_promotions;
     total.staleness_waits += s.staleness_waits;
     total.busy_aborts += s.busy_aborts;
     total.disk_record_reads += s.disk_record_reads;

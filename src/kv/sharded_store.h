@@ -40,11 +40,11 @@
 
 namespace mlkv {
 
-class AsyncIoEngine;
-
 struct ShardedStoreOptions {
   // Per-shard template. `path` names the UNSHARDED log file; `mem_size` and
   // `index_slots` are totals split across shards (see header comment).
+  // `store.io`, the engine every shard log flushes through, also carries
+  // the pending-read waves of MultiExecuteRead.
   FasterOptions store;
   // log2 of the shard count; 0 preserves the exact single-store behavior
   // and on-disk layout. Bounded by kMaxShardBits.
@@ -62,13 +62,6 @@ struct ShardedStoreOptions {
   // offered opt-in intra-batch parallelism before sharding (FASTER's
   // batch_threads) set this to keep it.
   bool chunk_single_shard = false;
-  // Two-phase read pipeline (kv/pending_read.h). Non-null routes batched
-  // reads' cold misses through this engine: disk-resident keys across ALL
-  // shard sub-batches go into flight together instead of blocking one
-  // ReadAt at a time. Null (the default) keeps the blocking path —
-  // byte-identical to the pre-pipeline behavior. Not owned; typically
-  // shared across every table/shard of a process (MLKV owns one per DB).
-  AsyncIoEngine* io = nullptr;
 };
 
 class ShardedStore {
@@ -167,10 +160,10 @@ class ShardedStore {
                          BatchResult* part, size_t part_index,
                          PendingSink* sink)>;
 
-  // MultiExecute for batched reads. Without an engine (options().io null),
-  // with stop_on_error, or for single-key calls this is exactly
-  // MultiExecute with a null sink — the unchanged blocking path. With an
-  // engine, phase 1 scatters as usual but cold misses park instead of
+  // MultiExecute for batched reads. Without an engine (options().store.io
+  // null), with stop_on_error, or for single-key calls this is exactly
+  // MultiExecute with a null sink — the blocking path. With an engine,
+  // phase 1 scatters as usual but cold misses park instead of
   // blocking; after the scatter fan-in, every parked read across all
   // sub-batches is submitted to the engine as one wave and completed on
   // the calling thread (finish callbacks record into the sub-batch parts),

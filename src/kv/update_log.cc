@@ -1,13 +1,17 @@
 #include "kv/update_log.h"
 
+#include <algorithm>
+
 #include "kv/faster_store.h"
 #include "kv/log_iterator.h"
 
 namespace mlkv {
 
-UpdateLogCursor::UpdateLogCursor(FasterStore* store, Address from)
+UpdateLogCursor::UpdateLogCursor(FasterStore* store, Address from,
+                                 Address until)
     : store_(store),
-      position_(from != 0 ? from : store->log().begin_address()) {}
+      position_(from != 0 ? from : store->log().begin_address()),
+      until_(until) {}
 
 UpdateLogCursor::~UpdateLogCursor() = default;
 
@@ -18,10 +22,10 @@ bool UpdateLogCursor::Next(UpdateEntry* out) {
     return false;
   }
   if (it_ == nullptr || !it_->Valid()) {
-    // (Re)open the scan window up to the current durable watermark. The
-    // watermark only moves forward, so a stale window just ends early and
-    // the next call picks up the growth.
-    const Address durable = store_->durable_address();
+    // (Re)open the scan window up to the current durable watermark (capped
+    // at `until_`). The watermark only moves forward, so a stale window
+    // just ends early and the next call picks up the growth.
+    const Address durable = std::min(store_->durable_address(), until_);
     if (position_ >= durable) return false;  // caught up
     if (it_ == nullptr || durable > window_end_) {
       it_ = std::make_unique<LogIterator>(store_, position_, durable);

@@ -53,8 +53,12 @@ struct UpdateEntry {
 class UpdateLogCursor {
  public:
   // Starts at `from` (0 = the store's begin address, i.e. the oldest
-  // retained update).
-  explicit UpdateLogCursor(FasterStore* store, Address from = 0);
+  // retained update). With concurrent writers, pass as `until` the boundary
+  // HybridLog::SealMutableRegion returned: the durable watermark can run
+  // past it into the mutable region, whose records may still be rewritten
+  // in place after the cursor has yielded them.
+  explicit UpdateLogCursor(FasterStore* store, Address from = 0,
+                           Address until = UINT64_MAX);
   ~UpdateLogCursor();
 
   UpdateLogCursor(const UpdateLogCursor&) = delete;
@@ -75,6 +79,7 @@ class UpdateLogCursor {
  private:
   FasterStore* store_;
   Address position_;
+  const Address until_;
   // Snapshot iterator for the current [position_, durable) window; renewed
   // whenever the watermark has advanced past it.
   std::unique_ptr<LogIterator> it_;

@@ -9,7 +9,6 @@
 #include "io/file_device.h"
 #include "kv/batch_read.h"
 #include "kv/log_iterator.h"
-#include "mlkv/embedding_init.h"
 
 namespace mlkv {
 
@@ -64,12 +63,11 @@ Status EmbeddingTable::ExecuteReadSpan(std::span<const Key> keys,
 
 Status EmbeddingTable::Get(std::span<const Key> keys, float* out,
                            BatchResult* result) {
-  const uint32_t bytes = value_bytes();
   return ExecuteReadSpan(
       keys,
-      [this, out, bytes](FasterStore* shard, Key key, size_t i,
-                         BatchResult* part, size_t pi, PendingSink* sink) {
-        BatchReadOrPark(shard, key, out + i * dim_, bytes, staleness_bound_,
+      [this, out](FasterStore* shard, Key key, size_t i, BatchResult* part,
+                  size_t pi, PendingSink* sink) {
+        BatchReadOrPark(shard, key, out + i * dim_, dim_, staleness_bound_,
                         /*tracked=*/true, part, pi, sink);
       },
       result);
@@ -77,46 +75,27 @@ Status EmbeddingTable::Get(std::span<const Key> keys, float* out,
 
 Status EmbeddingTable::GetOrInit(std::span<const Key> keys, float* out,
                                  BatchResult* result) {
-  const uint32_t emb_bytes = value_bytes();
+  // First touch of an absent key: the shared deterministic bootstrap, so
+  // all threads racing on the same key produce the same vector, and only
+  // one of them inserts (kv/batch_read.h).
   const uint32_t rec_bytes = record_bytes();
   return ExecuteReadSpan(
       keys,
-      [this, out, emb_bytes, rec_bytes](FasterStore* shard, Key key, size_t i,
-                                        BatchResult* part, size_t pi,
-                                        PendingSink* sink) {
-        float* dst = out + i * dim_;
-        // First touch of an absent key: the shared deterministic bootstrap,
-        // so all threads racing on the same key produce the same vector.
-        // Optimizer state starts all-zero — the correct initial value for
-        // every kind — which the zero-filled Rmw scratch provides for free.
-        // Rmw keeps a concurrent initializer from double-inserting: only
-        // the missing case writes, and losers observe the winner.
-        const auto init_missing = [this, shard, key, dst, rec_bytes]() {
-          InitEmbedding(key, dim_, dst);
-          return shard->Rmw(key, rec_bytes,
-                            [&](char* value, uint32_t, bool exists) {
-                              float* row = reinterpret_cast<float*>(value);
-                              if (!exists) {
-                                simd::CopyFloats(row, dst, dim_);
-                              } else {
-                                simd::CopyFloats(dst, row, dim_);
-                              }
-                            });
-        };
-        BatchReadOrPark(shard, key, dst, emb_bytes, staleness_bound_,
-                        /*tracked=*/true, part, pi, sink, &init_missing);
+      [this, out, rec_bytes](FasterStore* shard, Key key, size_t i,
+                             BatchResult* part, size_t pi, PendingSink* sink) {
+        BatchReadOrPark(shard, key, out + i * dim_, dim_, staleness_bound_,
+                        /*tracked=*/true, part, pi, sink, rec_bytes);
       },
       result);
 }
 
 Status EmbeddingTable::Peek(std::span<const Key> keys, float* out,
                             BatchResult* result) {
-  const uint32_t bytes = value_bytes();
   return ExecuteReadSpan(
       keys,
-      [this, out, bytes](FasterStore* shard, Key key, size_t i,
-                         BatchResult* part, size_t pi, PendingSink* sink) {
-        BatchReadOrPark(shard, key, out + i * dim_, bytes, UINT32_MAX,
+      [this, out](FasterStore* shard, Key key, size_t i, BatchResult* part,
+                  size_t pi, PendingSink* sink) {
+        BatchReadOrPark(shard, key, out + i * dim_, dim_, UINT32_MAX,
                         /*tracked=*/false, part, pi, sink);
       },
       result);
@@ -124,30 +103,14 @@ Status EmbeddingTable::Peek(std::span<const Key> keys, float* out,
 
 Status EmbeddingTable::PeekOrInit(std::span<const Key> keys, float* out,
                                   BatchResult* result) {
-  const uint32_t emb_bytes = value_bytes();
+  // As GetOrInit, with no tracked read on this path.
   const uint32_t rec_bytes = record_bytes();
   return ExecuteReadSpan(
       keys,
-      [this, out, emb_bytes, rec_bytes](FasterStore* shard, Key key, size_t i,
-                                        BatchResult* part, size_t pi,
-                                        PendingSink* sink) {
-        float* dst = out + i * dim_;
-        // Rmw creates the record if still absent; a concurrent creator
-        // wins and we adopt its value. No tracked read on this path.
-        const auto init_missing = [this, shard, key, dst, rec_bytes]() {
-          InitEmbedding(key, dim_, dst);
-          return shard->Rmw(key, rec_bytes,
-                            [&](char* value, uint32_t, bool exists) {
-                              float* row = reinterpret_cast<float*>(value);
-                              if (!exists) {
-                                simd::CopyFloats(row, dst, dim_);
-                              } else {
-                                simd::CopyFloats(dst, row, dim_);
-                              }
-                            });
-        };
-        BatchReadOrPark(shard, key, dst, emb_bytes, UINT32_MAX,
-                        /*tracked=*/false, part, pi, sink, &init_missing);
+      [this, out, rec_bytes](FasterStore* shard, Key key, size_t i,
+                             BatchResult* part, size_t pi, PendingSink* sink) {
+        BatchReadOrPark(shard, key, out + i * dim_, dim_, UINT32_MAX,
+                        /*tracked=*/false, part, pi, sink, rec_bytes);
       },
       result);
 }
@@ -268,31 +231,24 @@ Status EmbeddingTable::Lookahead(std::span<const Key> keys, LookaheadDest dest,
     const bool submitted = lookahead_pool_->TrySubmit([this, shard, batch,
                                                        dest, cache] {
       if (dest == LookaheadDest::kStorageBuffer) {
-        AsyncIoEngine* io = store_->options().io;
-        if (io != nullptr) {
-          // Pending-read pipeline: every cold key in this shard batch goes
-          // into flight together, and promotions complete from the landed
-          // record images instead of one blocking read at a time.
-          PendingSink sink;
-          for (const Key key : *batch) {
-            auto p = std::make_unique<PendingRead>();
-            bool parked = false;
-            // cap = the full stored value, so the copy never truncates.
-            shard->StartPromote(key, record_bytes(), p.get(), &parked).ok();
-            if (parked) {
-              sink.Park(shard, std::move(p), [shard](PendingRead* done) {
-                shard->PromoteFromPending(*done).ok();  // best-effort
-              });
-            }
-          }
-          PendingReadWave wave(io);
-          wave.Adopt(&sink);
-          wave.CompleteAll();
-        } else {
-          for (const Key key : *batch) {
-            shard->Promote(key).ok();  // NotFound: nothing to prefetch
+        // Pending-read pipeline: every cold key in this shard batch goes
+        // into flight together, and promotions complete from the landed
+        // record images instead of one blocking read at a time.
+        PendingSink sink;
+        for (const Key key : *batch) {
+          // cap = the full stored value, so the copy never truncates.
+          // NotFound and inline promotions leave nothing to park.
+          std::unique_ptr<PendingRead> p;
+          shard->StartPromote(key, record_bytes(), &p).ok();
+          if (p != nullptr) {
+            sink.Park(shard, std::move(p), [shard](PendingRead* done) {
+              shard->PromoteFromPending(*done).ok();  // best-effort
+            });
           }
         }
+        PendingReadWave wave(store_->options().store.io);
+        wave.Adopt(&sink);
+        wave.CompleteAll();
       } else {
         std::vector<float> value(dim_);
         for (const Key key : *batch) {

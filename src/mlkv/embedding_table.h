@@ -142,11 +142,10 @@ class EmbeddingTable {
   // fail-fast; see the span-API comment above).
   Status ExecuteSpan(std::span<const Key> keys,
                      const ShardedStore::ShardOp& op, BatchResult* result);
-  // Read-flavored ExecuteSpan: with an AsyncIoEngine configured, cold
-  // misses across the whole batch go into flight together through the
-  // pending-read pipeline (kv/pending_read.h); without one this is
-  // exactly ExecuteSpan. The fail-fast (sink-less) contract always takes
-  // the blocking path.
+  // Read-flavored ExecuteSpan: cold misses across the whole batch go into
+  // flight together on the DB's AsyncIoEngine through the pending-read
+  // pipeline (kv/pending_read.h). The fail-fast (sink-less) contract
+  // always takes the blocking path.
   Status ExecuteReadSpan(std::span<const Key> keys,
                          const ShardedStore::ShardReadOp& op,
                          BatchResult* result);

@@ -766,6 +766,36 @@ TEST(UpdateLogTest, CursorResumesFromPosition) {
   EXPECT_TRUE(b.status().ok());
 }
 
+// A feed bounded by a sealed address never yields a still-mutable record:
+// Persist makes records appended after the seal durable, but an in-place
+// rewrite of one after the cursor passed it would never be reported.
+TEST(UpdateLogTest, SealedWindowHoldsBackMutableRecords) {
+  TempDir dir;
+  FasterStore store;
+  ASSERT_TRUE(store.Open(GroupStore(dir)).ok());
+  ASSERT_TRUE(UpsertStr(&store, 1, "sealed").ok());
+  Address sealed = store.mutable_log()->SealMutableRegion();
+  ASSERT_TRUE(UpsertStr(&store, 2, "old").ok());  // mutable, above the seal
+  ASSERT_TRUE(store.Persist().ok());
+  ASSERT_GT(store.durable_address(), sealed);
+
+  UpdateEntry e;
+  UpdateLogCursor first(&store, 0, sealed);
+  ASSERT_TRUE(first.Next(&e));
+  EXPECT_EQ(e.key, 1u);
+  EXPECT_FALSE(first.Next(&e));
+  EXPECT_TRUE(first.status().ok());
+
+  ASSERT_TRUE(UpsertStr(&store, 2, "new").ok());  // rewrites in place
+  sealed = store.mutable_log()->SealMutableRegion();
+  ASSERT_TRUE(store.Persist().ok());
+  UpdateLogCursor next(&store, first.position(), sealed);
+  ASSERT_TRUE(next.Next(&e));
+  EXPECT_EQ(e.key, 2u);
+  EXPECT_EQ(std::string(e.value.begin(), e.value.end()), "new");
+  EXPECT_FALSE(next.Next(&e));
+}
+
 // Deletes appear in the feed as tombstone entries with an empty value.
 TEST(UpdateLogTest, TombstonesAppearWithEmptyValue) {
   TempDir dir;

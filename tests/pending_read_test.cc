@@ -2,20 +2,26 @@
 // byte-for-byte equivalence on a cold working set, duplicate-cold-key
 // coalescing, a compaction deterministically racing an in-flight read,
 // staleness-bound fallbacks, injected device failures surfacing as per-key
-// codes without poisoning batch siblings, and drain-on-close.
+// codes without poisoning batch siblings, drain-on-close, and the MLKV
+// table paths the wave feeds: bootstrap inserts against the walked chain
+// head and copy-reads-to-tail.
 #include "kv/pending_read.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "io/async_io.h"
 #include "io/faulty_file_device.h"
 #include "io/temp_dir.h"
+#include "common/hash.h"
+#include "kv/batch_read.h"
 #include "kv/faster_store.h"
 #include "kv/sharded_store.h"
+#include "mlkv/embedding_init.h"
 #include "mlkv/mlkv.h"
 
 namespace mlkv {
@@ -40,7 +46,7 @@ ShardedStoreOptions ColdStoreOptions(const std::string& path,
   o.store.mem_size = 1u << 16;  // 64 KiB total: a few hundred records hot
   o.store.page_size = 1u << 12;
   o.shard_bits = shard_bits;
-  o.io = io;
+  o.store.io = io;
   return o;
 }
 
@@ -62,10 +68,11 @@ ShardedStore::ShardReadOp RawReadOp(char* out, uint32_t stride) {
       part->Record(pi, shard->Read(key, dst, stride));
       return;
     }
-    auto p = std::make_unique<PendingRead>();
-    if (shard->StartRead(key, dst, stride, nullptr, UINT32_MAX,
-                         /*tracked=*/false, p.get())) {
-      part->Record(pi, p->status);
+    std::unique_ptr<PendingRead> p;
+    const Status s =
+        shard->StartRead(key, dst, stride, UINT32_MAX, /*tracked=*/false, &p);
+    if (p == nullptr) {
+      part->Record(pi, s);
       return;
     }
     sink->Park(shard, std::move(p), [part, pi](PendingRead* done) {
@@ -170,9 +177,12 @@ TEST(PendingReadTest, CompactionRacingInFlightReadFallsBackToRefetch) {
   // Phase 1 parks a cold key...
   const Key victim = 3;
   char out[kValueBytes] = {0};
-  auto p = std::make_unique<PendingRead>();
-  ASSERT_FALSE(store->StartRead(victim, out, kValueBytes, nullptr, UINT32_MAX,
-                                /*tracked=*/false, p.get()));
+  std::unique_ptr<PendingRead> p;
+  ASSERT_TRUE(store
+                  ->StartRead(victim, out, kValueBytes, UINT32_MAX,
+                              /*tracked=*/false, &p)
+                  .ok());
+  ASSERT_NE(p, nullptr);
   // ...then compaction reclaims the whole cold region before the "I/O"
   // completes: the parked address is now below the begin boundary and its
   // live version was republished at the tail.
@@ -181,14 +191,12 @@ TEST(PendingReadTest, CompactionRacingInFlightReadFallsBackToRefetch) {
 
   PendingSink sink;
   Status final_status;
-  PendingRead* raw = p.get();
   sink.Park(store, std::move(p), [&final_status](PendingRead* done) {
     final_status = done->status;
   });
   PendingReadWave wave(&engine);
   wave.Adopt(&sink);
   wave.CompleteAll();
-  (void)raw;
 
   ASSERT_TRUE(final_status.ok()) << final_status.ToString();
   char expected[kValueBytes];
@@ -210,10 +218,9 @@ TEST(PendingReadTest, PromotionInvalidatedInFlightSkipsCleanly) {
   LoadKeys(&sharded, kKeys);
   FasterStore* store = sharded.shard(0);
 
-  auto p = std::make_unique<PendingRead>();
-  bool parked = false;
-  ASSERT_TRUE(store->StartPromote(5, kValueBytes, p.get(), &parked).ok());
-  ASSERT_TRUE(parked);
+  std::unique_ptr<PendingRead> p;
+  ASSERT_TRUE(store->StartPromote(5, kValueBytes, &p).ok());
+  ASSERT_NE(p, nullptr);
   ASSERT_TRUE(sharded.CompactAll().ok());
   ASSERT_GT(store->log().begin_address(), p->address);
 
@@ -276,10 +283,11 @@ TEST(PendingReadTest, StalenessBoundFallsBackToBlockingProtocol) {
           part->Record(pi, shard->Read(key, dst, kValueBytes));
           return;
         }
-        auto p = std::make_unique<PendingRead>();
-        if (shard->StartRead(key, dst, kValueBytes, nullptr, UINT32_MAX,
-                             /*tracked=*/true, p.get())) {
-          part->Record(pi, p->status);
+        std::unique_ptr<PendingRead> p;
+        const Status s = shard->StartRead(key, dst, kValueBytes, UINT32_MAX,
+                                          /*tracked=*/true, &p);
+        if (p == nullptr) {
+          part->Record(pi, s);
           return;
         }
         sink->Park(shard, std::move(p), [part, pi](PendingRead* done) {
@@ -343,76 +351,300 @@ TEST(PendingReadTest, InjectedFaultsFailOnlyTheirKeys) {
   script->fail_from.store(0);  // disarm
 }
 
-TEST(PendingReadTest, MlkvAsyncModeEquivalenceAndLookahead) {
-  // End-to-end through Mlkv/EmbeddingTable: async io_mode serves the same
-  // bytes as sync, Lookahead promotions ride the wave, and closing the DB
+// A small MLKV DB whose tables mostly live on disk.
+MlkvOptions ColdMlkvOptions(const std::string& dir, uint32_t shard_bits) {
+  MlkvOptions o;
+  o.dir = dir;
+  o.index_slots = 4096;
+  o.mem_size = 1u << 16;
+  o.page_size = 1u << 12;
+  o.shard_bits = shard_bits;
+  o.io_threads = 4;
+  return o;
+}
+
+// Writes rows k*100 + d for keys [0, n).
+void PutRows(EmbeddingTable* table, uint64_t n) {
+  const uint32_t dim = table->dim();
+  std::vector<Key> keys(n);
+  std::vector<float> rows(n * dim);
+  for (uint64_t k = 0; k < n; ++k) {
+    keys[k] = k;
+    for (uint32_t d = 0; d < dim; ++d) {
+      rows[k * dim + d] = static_cast<float>(k * 100 + d);
+    }
+  }
+  BatchResult put;
+  ASSERT_TRUE(table->Put(keys, rows.data(), &put).ok());
+}
+
+TEST(PendingReadTest, MlkvWaveMatchesBlockingReadsAndLookahead) {
+  // End-to-end through Mlkv/EmbeddingTable: the wave serves the same bytes
+  // and per-key codes as blocking per-key FasterStore::Read/Peek on the
+  // same shards, Lookahead promotions ride the wave, and closing the DB
   // right after issuing lookaheads drains cleanly.
   constexpr uint32_t kDim = 8;
   constexpr uint64_t kKeys = 1500;
-  TempDir sync_dir, async_dir;
+  TempDir dir;
+  std::unique_ptr<Mlkv> db;
+  ASSERT_TRUE(Mlkv::Open(ColdMlkvOptions(dir.path() + "/db", 2), &db).ok());
+  EmbeddingTable* table = nullptr;
+  ASSERT_TRUE(db->OpenTable("emb", kDim, kAspBound, &table).ok());
+  PutRows(table, kKeys);
+  ShardedStore* store = table->store();
 
-  auto run = [&](const std::string& dir, IoMode mode, uint64_t* submitted,
-                 std::vector<float>* out) {
-    MlkvOptions o;
-    o.dir = dir;
-    o.mem_size = 1u << 16;
-    o.page_size = 1u << 12;
-    o.shard_bits = 2;
-    o.io_mode = mode;
-    o.io_threads = 4;
-    std::unique_ptr<Mlkv> db;
-    ASSERT_TRUE(Mlkv::Open(o, &db).ok());
-    EmbeddingTable* table = nullptr;
-    ASSERT_TRUE(db->OpenTable("emb", kDim, kAspBound, &table).ok());
+  // Cold strided keys, a duplicate and a never-stored key; the wave goes
+  // first so its keys are still cold.
+  const auto check = [&](uint64_t offset, bool tracked) {
+    std::vector<Key> batch;
+    for (uint64_t i = 0; i < 300; ++i) {
+      batch.push_back((i * 13 + offset) % kKeys);
+    }
+    batch.push_back(batch[0]);
+    batch.push_back(kKeys + 77);
+    std::vector<float> wave(batch.size() * kDim, 0.0f);
+    const uint64_t submitted = store->stats().async_reads_submitted;
+    BatchResult r;
+    if (tracked) {
+      table->Get(batch, wave.data(), &r);
+    } else {
+      table->Peek(batch, wave.data(), &r);
+    }
+    EXPECT_GT(store->stats().async_reads_submitted, submitted);
+    EXPECT_EQ(r.missing, 1u);
 
-    std::vector<Key> keys(kKeys);
-    std::vector<float> rows(kKeys * kDim);
-    for (uint64_t k = 0; k < kKeys; ++k) {
-      keys[k] = k;
-      for (uint32_t d = 0; d < kDim; ++d) {
-        rows[k * kDim + d] = static_cast<float>(k * 100 + d);
+    std::vector<float> blocking(kDim);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      FasterStore* shard = store->ShardFor(batch[i]);
+      const uint32_t bytes = kDim * sizeof(float);
+      const Status s = tracked ? shard->Read(batch[i], blocking.data(), bytes)
+                               : shard->Peek(batch[i], blocking.data(), bytes);
+      EXPECT_EQ(r.codes[i], s.code()) << "key " << batch[i];
+      if (s.ok()) {
+        EXPECT_EQ(std::memcmp(&wave[i * kDim], blocking.data(), bytes), 0)
+            << "key " << batch[i];
       }
     }
-    BatchResult put;
-    ASSERT_TRUE(table->Put(keys, rows.data(), &put).ok());
-
-    // Cold batched gets: strided + duplicates + fresh keys.
-    std::vector<Key> batch;
-    for (uint64_t i = 0; i < 300; ++i) batch.push_back((i * 13) % kKeys);
-    batch.push_back(batch[0]);
-    batch.push_back(kKeys + 77);  // bootstrap path
-    out->assign(batch.size() * kDim, 0.0f);
-    BatchResult got;
-    ASSERT_TRUE(table->GetOrInit(batch, out->data(), &got).ok());
-    EXPECT_TRUE(got.AllOk());
-    EXPECT_EQ(got.missing, 1u);
-
-    // Lookahead promotion over cold keys rides the same pipeline.
-    std::vector<Key> ahead;
-    for (Key k = 0; k < 64; ++k) ahead.push_back(k);
-    ASSERT_TRUE(table->Lookahead(ahead).ok());
-    table->WaitLookahead();
-    *submitted = table->store()->stats().async_reads_submitted;
-    if (mode == IoMode::kAsync) {
-      EXPECT_GT(table->store()->stats().promotions, 0u);
-    }
-
-    // Drain-on-close: issue lookaheads and destroy immediately.
-    ASSERT_TRUE(table->Lookahead(ahead).ok());
-    db.reset();
   };
+  check(/*offset=*/0, /*tracked=*/true);
+  check(/*offset=*/7, /*tracked=*/false);
 
-  uint64_t sync_submitted = 1, async_submitted = 0;
-  std::vector<float> sync_out, async_out;
-  run(sync_dir.path() + "/db", IoMode::kSync, &sync_submitted, &sync_out);
-  run(async_dir.path() + "/db", IoMode::kAsync, &async_submitted,
-      &async_out);
-  EXPECT_EQ(sync_submitted, 0u);
-  EXPECT_GT(async_submitted, 0u);
-  ASSERT_EQ(sync_out.size(), async_out.size());
-  EXPECT_EQ(std::memcmp(sync_out.data(), async_out.data(),
-                        sync_out.size() * sizeof(float)),
+  // Lookahead promotion over cold keys rides the same pipeline.
+  std::vector<Key> ahead;
+  for (Key k = 0; k < 64; ++k) ahead.push_back(k);
+  const uint64_t promotions = store->stats().promotions;
+  ASSERT_TRUE(table->Lookahead(ahead).ok());
+  table->WaitLookahead();
+  EXPECT_GT(store->stats().promotions, promotions);
+
+  // Drain-on-close: issue lookaheads and destroy immediately.
+  ASSERT_TRUE(table->Lookahead(ahead).ok());
+  db.reset();
+}
+
+// A key absent from `store` whose index slot is the same as `key`'s.
+Key SlotMateOf(const FasterStore& store, Key key, Key first_candidate) {
+  const uint64_t mask = store.index_slots() - 1;
+  Key k = first_candidate;
+  while ((Hash64(k) & mask) != (Hash64(key) & mask)) ++k;
+  return k;
+}
+
+TEST(PendingReadTest, GetOrInitInsertsAgainstTheWalkedChainHead) {
+  // An absent key whose slot chain is one disk-resident record: the wave
+  // fetches that record once, and the bootstrap insert goes in against the
+  // chain head the walk saw — no second (blocking) walk inside Rmw.
+  constexpr uint32_t kDim = 8;
+  TempDir dir;
+  std::unique_ptr<Mlkv> db;
+  ASSERT_TRUE(Mlkv::Open(ColdMlkvOptions(dir.path() + "/db", 0), &db).ok());
+  EmbeddingTable* table = nullptr;
+  ASSERT_TRUE(db->OpenTable("emb", kDim, kAspBound, &table).ok());
+  FasterStore* store = table->store()->shard(0);
+
+  // `cold` alone in its slot, buried under fillers from other slots.
+  const Key cold = 1;
+  const uint64_t mask = store->index_slots() - 1;
+  std::vector<float> row(kDim, 0.5f);
+  ASSERT_TRUE(table->Put({&cold, 1}, row.data()).ok());
+  Key hot = 0;
+  for (Key k = 100; k < 3100; ++k) {
+    if ((Hash64(k) & mask) == (Hash64(cold) & mask)) continue;
+    ASSERT_TRUE(table->Put({&k, 1}, row.data()).ok());
+    hot = k;
+  }
+  ASSERT_FALSE(store->IsInMemory(cold));
+  ASSERT_TRUE(store->IsInMemory(hot));
+  const Key absent = SlotMateOf(*store, cold, 1u << 20);
+
+  const FasterStatsSnapshot before = store->stats();
+  const std::vector<Key> batch = {absent, hot};
+  std::vector<float> out(batch.size() * kDim);
+  BatchResult r;
+  ASSERT_TRUE(table->GetOrInit(batch, out.data(), &r).ok());
+  const FasterStatsSnapshot after = store->stats();
+  EXPECT_EQ(r.missing, 1u);
+  EXPECT_EQ(after.disk_record_reads - before.disk_record_reads, 1u);
+  EXPECT_EQ(after.inserts - before.inserts, 1u);
+  EXPECT_EQ(after.rmws, before.rmws);
+
+  std::vector<float> expected(kDim);
+  InitEmbedding(absent, kDim, expected.data());
+  EXPECT_EQ(std::memcmp(out.data(), expected.data(), kDim * sizeof(float)),
             0);
+  std::vector<float> again(kDim);
+  ASSERT_TRUE(table->Peek({&absent, 1}, again.data()).ok());
+  EXPECT_EQ(again, expected);
+}
+
+TEST(PendingReadTest, InitFallsBackToRmwWhenTheSlotMoved) {
+  constexpr uint32_t kDim = 4;
+  const uint32_t rec_bytes = OptimizerValueBytes(OptimizerKind::kAdagrad, kDim);
+  TempDir dir;
+  FasterStore store;
+  FasterOptions o;
+  o.path = dir.File("m.log");
+  o.index_slots = 64;
+  o.mem_size = 1u << 16;
+  o.page_size = 1u << 12;
+  ASSERT_TRUE(store.Open(o).ok());
+
+  const Key key = 9;
+  const Key mate = SlotMateOf(store, key, 1000);
+  std::unique_ptr<PendingRead> parked;
+  Address head = kInvalidAddress;
+  std::vector<float> probe(kDim);
+  ASSERT_TRUE(store
+                  .StartRead(key, probe.data(), kDim * sizeof(float),
+                             UINT32_MAX, /*tracked=*/false, &parked, &head)
+                  .IsNotFound());
+  ASSERT_EQ(parked, nullptr);
+  // A publish to the same slot after the walk moves the head.
+  const float mate_row[kDim] = {1, 2, 3, 4};
+  ASSERT_TRUE(store.Upsert(mate, mate_row, sizeof(mate_row)).ok());
+
+  const FasterStatsSnapshot before = store.stats();
+  std::vector<float> first(kDim), second(kDim);
+  ASSERT_TRUE(
+      InitMissingRow(&store, key, first.data(), kDim, rec_bytes, &head).ok());
+  // A racing initializer that walked the same stale chain loses to the
+  // first and adopts its row.
+  ASSERT_TRUE(
+      InitMissingRow(&store, key, second.data(), kDim, rec_bytes, &head).ok());
+  const FasterStatsSnapshot after = store.stats();
+  EXPECT_EQ(after.rmws - before.rmws, 2u);
+  EXPECT_EQ(after.inserts - before.inserts, 1u);
+  EXPECT_EQ(first, second);
+
+  // The stored record is the embedding plus all-zero optimizer state.
+  std::vector<float> stored(rec_bytes / sizeof(float), -1.0f);
+  uint32_t size = 0;
+  ASSERT_TRUE(store.Peek(key, stored.data(), rec_bytes, &size).ok());
+  EXPECT_EQ(size, rec_bytes);
+  for (uint32_t d = 0; d < kDim; ++d) EXPECT_EQ(stored[d], first[d]);
+  for (size_t d = kDim; d < stored.size(); ++d) EXPECT_EQ(stored[d], 0.0f);
+}
+
+TEST(PendingReadTest, RacingGetOrInitAgreeAndInsertOnce) {
+  constexpr uint32_t kDim = 8;
+  constexpr int kThreads = 4;
+  TempDir dir;
+  std::unique_ptr<Mlkv> db;
+  ASSERT_TRUE(Mlkv::Open(ColdMlkvOptions(dir.path() + "/db", 2), &db).ok());
+  EmbeddingTable* table = nullptr;
+  OptimizerConfig adagrad;
+  adagrad.kind = OptimizerKind::kAdagrad;
+  ASSERT_TRUE(db->OpenTable("emb", kDim, kAspBound, &table, adagrad).ok());
+  PutRows(table, 3000);  // most slot chains reach the disk
+
+  std::vector<Key> absent;
+  for (Key k = 0; k < 64; ++k) absent.push_back((1u << 20) + k * 7);
+  const uint64_t inserts = table->store()->stats().inserts;
+  std::vector<std::vector<float>> outs(kThreads,
+                                       std::vector<float>(absent.size() * kDim));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      BatchResult r;
+      EXPECT_TRUE(table->GetOrInit(absent, outs[t].data(), &r).ok());
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(table->store()->stats().inserts - inserts, absent.size());
+  std::vector<float> expected(kDim);
+  for (size_t i = 0; i < absent.size(); ++i) {
+    InitEmbedding(absent[i], kDim, expected.data());
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(std::memcmp(&outs[t][i * kDim], expected.data(),
+                            kDim * sizeof(float)),
+                0)
+          << "thread " << t << " key " << absent[i];
+    }
+  }
+}
+
+TEST(PendingReadTest, TrackedColdGetThenPutIsInPlace) {
+  // MLKV tables copy disk-served reads to the tail, so the Put that follows
+  // a tracked Get updates the record in place with no disk read.
+  constexpr uint32_t kDim = 8;
+  TempDir dir;
+  std::unique_ptr<Mlkv> db;
+  ASSERT_TRUE(Mlkv::Open(ColdMlkvOptions(dir.path() + "/db", 2), &db).ok());
+  EmbeddingTable* table = nullptr;
+  ASSERT_TRUE(db->OpenTable("emb", kDim, 4, &table).ok());
+  PutRows(table, 1500);
+  ShardedStore* store = table->store();
+  const std::vector<Key> cold = {3, 5};
+  for (const Key k : cold) ASSERT_FALSE(store->IsInMemory(k)) << k;
+
+  std::vector<float> rows(cold.size() * kDim);
+  BatchResult got;
+  ASSERT_TRUE(table->Get(cold, rows.data(), &got).ok());
+  EXPECT_EQ(rows[0], 300.0f);  // key 3, d 0
+  EXPECT_GE(store->stats().read_promotions, cold.size());
+
+  const FasterStatsSnapshot before = store->stats();
+  for (float& v : rows) v += 1.0f;
+  ASSERT_TRUE(table->Put({&cold[0], 1}, rows.data()).ok());
+  const FasterStatsSnapshot after = store->stats();
+  EXPECT_EQ(after.inplace_updates - before.inplace_updates, 1u);
+  EXPECT_EQ(after.rcu_appends, before.rcu_appends);
+  EXPECT_EQ(after.disk_record_reads, before.disk_record_reads);
+}
+
+TEST(PendingReadTest, ColdReadNeverTruncatesOptimizerState) {
+  // A read fetches only the embedding; copying that prefix to the tail
+  // would drop the optimizer state behind it, so such records stay put.
+  constexpr uint32_t kDim = 8;
+  TempDir dir;
+  std::unique_ptr<Mlkv> db;
+  ASSERT_TRUE(Mlkv::Open(ColdMlkvOptions(dir.path() + "/db", 0), &db).ok());
+  EmbeddingTable* table = nullptr;
+  OptimizerConfig adagrad;
+  adagrad.kind = OptimizerKind::kAdagrad;
+  ASSERT_TRUE(db->OpenTable("emb", kDim, kAspBound, &table, adagrad).ok());
+  const Key key = 3;
+  std::vector<float> grad(kDim, 0.25f);
+  ASSERT_TRUE(table->ApplyGradients({&key, 1}, grad.data()).ok());
+  FasterStore* shard = table->store()->shard(0);
+  const uint32_t rec_bytes = table->record_bytes();
+  std::vector<char> record(rec_bytes), after(rec_bytes);
+  ASSERT_TRUE(shard->Peek(key, record.data(), rec_bytes).ok());
+  std::vector<float> filler(kDim, 1.0f);
+  for (Key k = 100; k < 1600; ++k) {
+    ASSERT_TRUE(table->Put({&k, 1}, filler.data()).ok());
+  }
+  ASSERT_FALSE(shard->IsInMemory(key));
+
+  const std::vector<Key> batch = {key, 1599};
+  std::vector<float> rows(batch.size() * kDim);
+  ASSERT_TRUE(table->Get(batch, rows.data()).ok());
+  EXPECT_EQ(shard->stats().read_promotions, 0u);
+  EXPECT_FALSE(shard->IsInMemory(key));
+  uint32_t size = 0;
+  ASSERT_TRUE(shard->Peek(key, after.data(), rec_bytes, &size).ok());
+  EXPECT_EQ(size, rec_bytes);
+  EXPECT_EQ(after, record);
 }
 
 }  // namespace

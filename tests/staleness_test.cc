@@ -192,14 +192,17 @@ TEST(StalenessTest, ConcurrentPipelineRespectsBound) {
   ASSERT_TRUE(store.Upsert(1, &v, sizeof(v)).ok());
 
   constexpr int kOps = 3000;
-  std::atomic<int> gets_done{0}, puts_done{0};
+  // A put counts from the moment it is issued: once its Upsert has lowered
+  // the clock the reader may be admitted again, so counting it only after
+  // Upsert returns would read one admitted Get as extra lead.
+  std::atomic<int> gets_done{0}, puts_issued{0};
   std::atomic<int> max_lead{0};
   std::thread reader([&] {
     double out;
     for (int i = 0; i < kOps; ++i) {
       ASSERT_TRUE(store.Read(1, &out, sizeof(out)).ok());
-      const int lead =
-          gets_done.fetch_add(1) + 1 - puts_done.load(std::memory_order_acquire);
+      const int lead = gets_done.fetch_add(1) + 1 -
+                       puts_issued.load(std::memory_order_acquire);
       int prev = max_lead.load();
       while (lead > prev && !max_lead.compare_exchange_weak(prev, lead)) {
       }
@@ -211,13 +214,13 @@ TEST(StalenessTest, ConcurrentPipelineRespectsBound) {
       // A training pipeline issues one Put per completed Get; pace the
       // writer behind the reader so decrements never saturate at zero and
       // strand the reader against the bound.
-      while (puts_done.load(std::memory_order_acquire) >=
+      while (puts_issued.load(std::memory_order_acquire) >=
              gets_done.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
       if (i % 64 == 0) std::this_thread::yield();
+      puts_issued.fetch_add(1, std::memory_order_release);
       ASSERT_TRUE(store.Upsert(1, &val, sizeof(val)).ok());
-      puts_done.fetch_add(1, std::memory_order_release);
     }
   });
   reader.join();
