@@ -27,15 +27,18 @@
 // Demonstrates the operational surface of the library: the manifest
 // (OpenExistingTable), log scans, GC, export/import, checkpoints, and the
 // embedding server.
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -79,10 +82,7 @@ int Usage() {
       "        [--group_commit_window_us N] [--group_commit_max_bytes N]\n"
       "        [--request_threads N]  offload storage phases off workers\n"
       "        [--metrics_addr h:p]   Prometheus /metrics endpoint\n"
-      "        [--serve_cache N]      front the backend with an N-vector cache\n"
-      "        [--cache_admission lru|tinylfu]  eviction admission policy\n"
-      "                               (tinylfu: frequency-sketch-gated, keeps\n"
-      "                               hot keys under zipfian churn)\n"
+      "        [--serve_cache N]      N-row LRU cache in front of the backend\n"
       "        [--slow_request_us N]  slow-request log threshold (0 = auto)\n"
       "        kinds: mlkv faster lsm btree inmemory\n"
       "    cluster mode (docs/CLUSTER.md; --addr needs an explicit port):\n"
@@ -146,12 +146,26 @@ struct ArgList {
     const auto it = flags.find(name);
     return it == flags.end() ? def : it->second;
   }
-  bool ParseFrom(int argc, char** argv, int start) {
+  // Rejects (with a message naming `cmd`) a flag that `accepted` does not
+  // list or that lacks a value, so a typo never silently runs defaults.
+  bool ParseFrom(int argc, char** argv, int start, const std::string& cmd,
+                 std::initializer_list<std::string_view> accepted) {
     for (int i = start; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg.rfind("--", 0) == 0) {
-        if (i + 1 >= argc) return false;  // every flag takes a value
-        flags[arg.substr(2)] = argv[++i];
+        const std::string name = arg.substr(2);
+        if (std::find(accepted.begin(), accepted.end(), name) ==
+            accepted.end()) {
+          std::fprintf(stderr, "unknown flag %s for %s\n", arg.c_str(),
+                       cmd.c_str());
+          return false;
+        }
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "flag %s for %s needs a value\n", arg.c_str(),
+                       cmd.c_str());
+          return false;
+        }
+        flags[name] = argv[++i];
       } else {
         positional.push_back(arg);
       }
@@ -237,15 +251,7 @@ int RunServe(const std::string& dir, ArgList& args) {
   const size_t serve_cache = static_cast<size_t>(
       std::strtoul(args.Flag("serve_cache", "0").c_str(), nullptr, 10));
   if (serve_cache > 0) {
-    CacheAdmission admission = CacheAdmission::kLru;
-    const std::string admission_name = args.Flag("cache_admission", "lru");
-    if (admission_name == "tinylfu") {
-      admission = CacheAdmission::kTinyLfu;
-    } else if (admission_name != "lru") {
-      return Usage();
-    }
-    s = MakeCachingBackend(std::move(backend), serve_cache, admission,
-                           &backend);
+    s = MakeCachingBackend(std::move(backend), serve_cache, &backend);
     if (!s.ok()) return Fail(s);
   }
 
@@ -621,7 +627,24 @@ int main(int argc, char** argv) {
   if (cmd == "serve" || cmd == "remote-get" || cmd == "remote-put" ||
       cmd == "cluster-status" || (cmd == "stats" && stats_has_addr)) {
     ArgList args;
-    if (!args.ParseFrom(argc, argv, 3)) return Usage();
+    bool parsed;
+    if (cmd == "serve") {
+      parsed = args.ParseFrom(
+          argc, argv, 3, cmd,
+          {"addr", "backend", "dim", "staleness", "io_threads",
+           "durability_mode", "checkpoint_mode", "group_commit_window_us",
+           "group_commit_max_bytes", "serve_cache", "workers",
+           "request_threads", "slow_request_us", "metrics_addr",
+           "cluster_addrs", "cluster_replicas", "read_preference",
+           "route_bits", "cluster_epoch", "cluster_self", "replica_of",
+           "replica_poll_ms", "replica_state"});
+    } else if (cmd == "stats") {
+      parsed = args.ParseFrom(argc, argv, 3, cmd,
+                              {"addr", "watch", "metrics_addr"});
+    } else {
+      parsed = args.ParseFrom(argc, argv, 3, cmd, {"addr"});
+    }
+    if (!parsed) return 2;
     if (cmd == "serve") return RunServe(dir, args);
     if (cmd == "cluster-status") return RunClusterStatus(args);
     if (cmd == "stats") return RunRemoteStats(args);
@@ -760,7 +783,9 @@ int main(int argc, char** argv) {
 
   if (cmd == "tail") {
     ArgList targs;
-    if (!targs.ParseFrom(argc, argv, 4)) return Usage();
+    if (!targs.ParseFrom(argc, argv, 4, cmd, {"limit", "shard", "from"})) {
+      return 2;
+    }
     const uint64_t limit =
         std::strtoull(targs.Flag("limit", "50").c_str(), nullptr, 10);
     const size_t shard = static_cast<size_t>(

@@ -852,10 +852,8 @@ class InMemoryBackend : public KvBackend {
 // old, within the untracked read contract's bounded staleness.
 class CachingBackend : public KvBackend {
  public:
-  CachingBackend(std::unique_ptr<KvBackend> inner, size_t capacity,
-                 CacheAdmission admission)
-      : inner_(std::move(inner)),
-        cache_(capacity, inner_->dim(), /*shards=*/16, admission) {}
+  CachingBackend(std::unique_ptr<KvBackend> inner, size_t capacity)
+      : inner_(std::move(inner)), cache_(capacity, inner_->dim()) {}
 
   std::string name() const override {
     return "Cached(" + inner_->name() + ")";
@@ -945,12 +943,6 @@ class CachingBackend : public KvBackend {
     }
     sink->AddGauge("mlkv_cache_entries", "Rows resident in the serving cache",
                    static_cast<double>(cache_.size()));
-    const EmbeddingCache::CacheStats total = cache_.stats();
-    sink->AddCounter("mlkv_cache_admission_rejects_total",
-                     "Cache fills refused by TinyLFU admission",
-                     total.admission_rejects);
-    sink->AddCounter("mlkv_cache_admission_agings_total",
-                     "TinyLFU sketch aging resets", total.admission_agings);
   }
 
   uint32_t replication_shards() const override {
@@ -1063,12 +1055,6 @@ void KvBackend::CollectMetrics(obs::MetricsSink* sink) const {
   sink->AddCounter("mlkv_net_rpc_retries_total",
                    "Fresh-socket retries after a dead pooled connection",
                    io.remote_retries);
-  sink->AddCounter("mlkv_replication_records_total",
-                   "Replicated update records applied",
-                   io.replicated_records);
-  sink->AddGauge("mlkv_replication_lag_records",
-                 "Update records the replica has not yet applied",
-                 static_cast<double>(io.replica_lag_records));
 }
 
 const char* BackendKindName(BackendKind kind) {
@@ -1128,20 +1114,13 @@ Status MakeMlkvTableBackend(EmbeddingTable* table,
 
 Status MakeCachingBackend(std::unique_ptr<KvBackend> inner, size_t capacity,
                           std::unique_ptr<KvBackend>* out) {
-  return MakeCachingBackend(std::move(inner), capacity, CacheAdmission::kLru,
-                            out);
-}
-
-Status MakeCachingBackend(std::unique_ptr<KvBackend> inner, size_t capacity,
-                          CacheAdmission admission,
-                          std::unique_ptr<KvBackend>* out) {
   if (inner == nullptr) {
     return Status::InvalidArgument("caching backend needs an inner backend");
   }
   if (capacity == 0) {
     return Status::InvalidArgument("caching backend capacity must be > 0");
   }
-  out->reset(new CachingBackend(std::move(inner), capacity, admission));
+  out->reset(new CachingBackend(std::move(inner), capacity));
   return Status::OK();
 }
 

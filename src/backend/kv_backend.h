@@ -43,7 +43,6 @@
 #include "io/async_io.h"
 #include "kv/record.h"
 #include "kv/update_log.h"
-#include "serve/tinylfu.h"
 
 namespace mlkv {
 
@@ -78,12 +77,10 @@ struct BackendIoStats {
   uint64_t fsyncs = 0;
   uint64_t group_commits = 0;
   // Network-path counters (kRemote / kCluster adapters; zeros elsewhere):
-  // RPCs issued, transparent fresh-socket retries after a dead pooled
-  // connection, and replication records applied / pending (replica role).
+  // RPCs issued and transparent fresh-socket retries after a dead pooled
+  // connection.
   uint64_t remote_requests = 0;
   uint64_t remote_retries = 0;
-  uint64_t replicated_records = 0;
-  uint64_t replica_lag_records = 0;
 };
 
 struct MultiGetOptions {
@@ -308,11 +305,6 @@ Status MakeMlkvTableBackend(EmbeddingTable* table,
 // observe a bounded-stale row when a fill races an invalidate, which the
 // untracked read contract already permits. capacity == 0 is rejected.
 Status MakeCachingBackend(std::unique_ptr<KvBackend> inner, size_t capacity,
-                          std::unique_ptr<KvBackend>* out);
-// As above with an explicit admission policy: kTinyLfu guards eviction with
-// a per-shard frequency sketch (see serve/tinylfu.h and docs/SERVING.md).
-Status MakeCachingBackend(std::unique_ptr<KvBackend> inner, size_t capacity,
-                          CacheAdmission admission,
                           std::unique_ptr<KvBackend>* out);
 
 }  // namespace mlkv

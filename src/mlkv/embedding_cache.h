@@ -1,15 +1,9 @@
 // EmbeddingCache: a sharded LRU cache of key -> embedding vector, playing
 // the role of the "application cache" in the paper's Fig. 5(b). Conventional
 // prefetching (and Lookahead with an application-cache destination) fills
-// this cache; trainers consult it before going to the store.
-//
-// Admission control (CacheAdmission::kTinyLfu, see docs/SERVING.md): each
-// shard owns a TinyLfu sketch, updated on Get under the shard mutex. On
-// eviction pressure a new key is inserted only if its sketch frequency
-// strictly beats the LRU victim's — zipfian one-hit-wonders bounce off the
-// doorkeeper instead of washing out the hot working set. Admission applies
-// to every fill (including Warm/prefetch Puts into a full cache): an
-// unproven key never displaces a proven one.
+// this cache; trainers consult it before going to the store. The serving
+// tier (MakeCachingBackend) puts one in front of the engine, see
+// docs/SERVING.md.
 //
 // Eviction reuses the victim's storage: the map node is extracted and
 // re-keyed and the victim's row vector and LRU list node are recycled, so a
@@ -19,14 +13,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "common/hash.h"
 #include "kv/record.h"
-#include "serve/tinylfu.h"
 
 namespace mlkv {
 
@@ -35,34 +27,18 @@ class EmbeddingCache {
   // `capacity` is the max number of cached vectors; `dim` their length.
   // `shards` rounds up via ShardMask so routing is the shared mask-based
   // ShardOf (common/hash.h) instead of a hash-mod.
-  EmbeddingCache(size_t capacity, uint32_t dim, size_t shards = 16,
-                 CacheAdmission admission = CacheAdmission::kLru)
-      : dim_(dim), shard_mask_(ShardMask(shards)), admission_(admission) {
+  EmbeddingCache(size_t capacity, uint32_t dim, size_t shards = 16)
+      : dim_(dim), shard_mask_(ShardMask(shards)) {
     per_shard_capacity_ = capacity / (shard_mask_ + 1);
     if (per_shard_capacity_ == 0) per_shard_capacity_ = 1;
     shard_data_ = std::vector<Shard>(shard_mask_ + 1);
-    if (admission_ == CacheAdmission::kTinyLfu) {
-      for (auto& s : shard_data_) {
-        // Counters sized to the slots the sketch guards; the window (10x
-        // capacity, Caffeine's default shape) bounds how long a dead hot
-        // key can hold its seat before aging decays it.
-        s.sketch = std::make_unique<TinyLfu>(
-            per_shard_capacity_ * 4,
-            std::max<uint64_t>(512, per_shard_capacity_ * 10));
-      }
-    }
   }
 
   uint32_t dim() const { return dim_; }
-  CacheAdmission admission() const { return admission_; }
 
   bool Get(Key key, float* out) {
-    const uint64_t h = Hash64(key);
-    Shard& s = shard_data_[ShardOf(h, shard_mask_)];
+    Shard& s = ShardFor(key);
     std::lock_guard<std::mutex> lk(s.mu);
-    // Every lookup (hit or miss) feeds the frequency sketch — misses are
-    // exactly the accesses a later admission decision needs to know about.
-    if (s.sketch) s.sketch->RecordAccess(h);
     auto it = s.map.find(key);
     if (it == s.map.end()) {
       ++s.misses;
@@ -75,8 +51,7 @@ class EmbeddingCache {
   }
 
   void Put(Key key, const float* value) {
-    const uint64_t h = Hash64(key);
-    Shard& s = shard_data_[ShardOf(h, shard_mask_)];
+    Shard& s = ShardFor(key);
     std::lock_guard<std::mutex> lk(s.mu);
     auto it = s.map.find(key);
     if (it != s.map.end()) {
@@ -86,10 +61,6 @@ class EmbeddingCache {
     }
     if (s.map.size() >= per_shard_capacity_) {
       const Key victim = s.lru.back();
-      if (s.sketch && !s.sketch->Admit(h, Hash64(victim))) {
-        ++s.admission_rejects;
-        return;
-      }
       // Evict the victim, recycling its map node (extract + re-key keeps
       // the row vector's heap block) and its LRU list node.
       auto node = s.map.extract(victim);
@@ -129,11 +100,6 @@ class EmbeddingCache {
 
   struct CacheStats {
     uint64_t hits = 0, misses = 0, evictions = 0;
-    // TinyLFU admission outcomes (zero under kLru): inserts refused
-    // because the candidate's frequency lost to the victim's, and sketch
-    // aging resets (counter halving + doorkeeper clear).
-    uint64_t admission_rejects = 0;
-    uint64_t admission_agings = 0;
   };
 
   // Per-shard visibility for labeled metrics families (no obs dependency
@@ -146,8 +112,6 @@ class EmbeddingCache {
     c.hits = s.hits;
     c.misses = s.misses;
     c.evictions = s.evictions;
-    c.admission_rejects = s.admission_rejects;
-    if (s.sketch) c.admission_agings = s.sketch->agings();
     return c;
   }
 
@@ -158,18 +122,15 @@ class EmbeddingCache {
       c.hits += cs.hits;
       c.misses += cs.misses;
       c.evictions += cs.evictions;
-      c.admission_rejects += cs.admission_rejects;
-      c.admission_agings += cs.admission_agings;
     }
     return c;
   }
 
-  // Zeroes the hit/miss/eviction/admission counters. Cached rows and
-  // sketch frequencies are untouched.
+  // Zeroes the hit/miss/eviction counters. Cached rows are untouched.
   void ResetStats() {
     for (auto& s : shard_data_) {
       std::lock_guard<std::mutex> lk(s.mu);
-      s.hits = s.misses = s.evictions = s.admission_rejects = 0;
+      s.hits = s.misses = s.evictions = 0;
     }
   }
 
@@ -182,8 +143,7 @@ class EmbeddingCache {
     mutable std::mutex mu;
     std::unordered_map<Key, Entry> map;
     std::list<Key> lru;
-    std::unique_ptr<TinyLfu> sketch;  // set iff admission == kTinyLfu
-    uint64_t hits = 0, misses = 0, evictions = 0, admission_rejects = 0;
+    uint64_t hits = 0, misses = 0, evictions = 0;
   };
 
   Shard& ShardFor(Key key) {
@@ -192,7 +152,6 @@ class EmbeddingCache {
 
   uint32_t dim_;
   uint64_t shard_mask_;
-  CacheAdmission admission_;
   size_t per_shard_capacity_;
   std::vector<Shard> shard_data_;
 };

@@ -160,9 +160,7 @@ void KvServer::CollectServerMetrics(obs::MetricsSink* sink) const {
                    static_cast<double>(RoleUnder(*cv.map, cv.self)));
   }
   if (stats_source_) {
-    // The Replicator's counters arrive through the same seam kStats uses;
-    // names are distinct from the backend's mlkv_replication_* (which
-    // count updates a backend applied, not what the tailer fetched).
+    // The Replicator's counters arrive through the same seam kStats uses.
     StatsSnapshot s;
     stats_source_(&s);
     sink->AddCounter("mlkv_replicator_records_total",
@@ -770,11 +768,9 @@ StatsSnapshot KvServer::stats() const {
   s.async_writes_completed = io.async_writes_completed;
   s.fsyncs = io.fsyncs;
   s.group_commits = io.group_commits;
-  s.replicated_records = io.replicated_records;
-  s.replica_lag_records = io.replica_lag_records;
   s.kernel_tier = static_cast<uint8_t>(simd::ActiveKernelTier());
-  // External counters last so a Replicator-fed snapshot wins over the
-  // backend's zeros (local engines know nothing about replication).
+  // Replication counters come only from the external source (a replica's
+  // Replicator); backends know nothing about replication.
   if (stats_source_) stats_source_(&s);
   return s;
 }

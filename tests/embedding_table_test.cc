@@ -234,5 +234,46 @@ TEST(EmbeddingCacheTest, ConcurrentAccessIsSafe) {
   EXPECT_LE(cache.size(), 1024u);
 }
 
+TEST(EmbeddingCacheTest, EvictionRecyclesNodesAndKeepsValuesIntact) {
+  // The extract/re-key eviction path: capacity stays pinned, evictions
+  // count, and the surviving entries read back exactly.
+  constexpr uint32_t kDim = 3;
+  constexpr size_t kCap = 8;
+  EmbeddingCache cache(kCap, kDim, /*shards=*/1);
+  std::vector<float> out(kDim);
+  for (Key k = 0; k < 64; ++k) {
+    std::vector<float> v = {static_cast<float>(k), 0.5f, -1.0f};
+    cache.Put(k, v.data());
+    EXPECT_LE(cache.size(), kCap);
+  }
+  EXPECT_EQ(cache.stats().evictions, 64u - kCap);
+  for (Key k = 64 - kCap; k < 64; ++k) {
+    ASSERT_TRUE(cache.Get(k, out.data())) << "key " << k;
+    EXPECT_FLOAT_EQ(out[0], static_cast<float>(k));
+    EXPECT_FLOAT_EQ(out[2], -1.0f);
+  }
+  cache.ResetStats();
+  const auto st = cache.stats();
+  EXPECT_EQ(st.hits, 0u);
+  EXPECT_EQ(st.misses, 0u);
+  EXPECT_EQ(st.evictions, 0u);
+  // Cached rows survive a stats reset.
+  EXPECT_EQ(cache.size(), kCap);
+}
+
+TEST(EmbeddingCacheTest, PutExistingUpdatesInPlace) {
+  constexpr uint32_t kDim = 2;
+  EmbeddingCache cache(/*capacity=*/4, kDim, /*shards=*/1);
+  std::vector<float> v1 = {1.0f, 2.0f};
+  std::vector<float> v2 = {9.0f, 8.0f};
+  std::vector<float> out(kDim);
+  cache.Put(5, v1.data());
+  cache.Put(5, v2.data());
+  EXPECT_EQ(cache.size(), 1u);
+  ASSERT_TRUE(cache.Get(5, out.data()));
+  EXPECT_FLOAT_EQ(out[0], 9.0f);
+  EXPECT_FLOAT_EQ(out[1], 8.0f);
+}
+
 }  // namespace
 }  // namespace mlkv

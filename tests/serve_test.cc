@@ -40,13 +40,10 @@ uint64_t Count(const KvBackend& backend, const std::string& name) {
 }
 
 // The serving read path over `table`: the decorator on the table adapter.
-std::unique_ptr<KvBackend> Serve(
-    EmbeddingTable* table, size_t capacity = 1 << 16,
-    CacheAdmission admission = CacheAdmission::kLru) {
+std::unique_ptr<KvBackend> Serve(EmbeddingTable* table) {
   std::unique_ptr<KvBackend> engine, cached;
   EXPECT_TRUE(MakeMlkvTableBackend(table, &engine).ok());
-  EXPECT_TRUE(
-      MakeCachingBackend(std::move(engine), capacity, admission, &cached).ok());
+  EXPECT_TRUE(MakeCachingBackend(std::move(engine), 1 << 16, &cached).ok());
   return cached;
 }
 
@@ -278,28 +275,6 @@ TEST(ServeTest, ServingWhileTrainingSeesCommittedValues) {
   ASSERT_TRUE(server->MultiPut({&k, 1}, fresh.data()).AllOk());
   ASSERT_TRUE(server->MultiGet({&k, 1}, out.data(), ServingRead()).AllOk());
   EXPECT_EQ(out, fresh);
-}
-
-TEST(ServeTest, TinyLfuAdmissionGuardsTheServingCache) {
-  ServeFixture f(4000);
-  auto server = Serve(f.table, /*capacity=*/64, CacheAdmission::kTinyLfu);
-  std::vector<Key> hot(16);
-  for (Key k = 0; k < 16; ++k) hot[k] = k;
-  std::vector<float> out(64 * kDim);
-  std::vector<Key> scan(16);
-  for (int round = 0; round < 64; ++round) {
-    ASSERT_TRUE(server->MultiGet(hot, out.data(), ServingRead()).AllOk());
-    for (int i = 0; i < 16; ++i) scan[i] = 1000 + round * 16 + i;
-    ASSERT_TRUE(server->MultiGet(scan, out.data(), ServingRead()).AllOk());
-  }
-  EXPECT_GT(Count(*server, "mlkv_cache_admission_rejects_total"), 0u)
-      << "one-hit scan keys should bounce off admission";
-  // The hot working set survived the scan: a fresh pass over it is
-  // (almost) all cache hits. A handful of misses right after a sketch
-  // aging are legitimate.
-  const uint64_t hits_before = Count(*server, "mlkv_cache_hits_total");
-  ASSERT_TRUE(server->MultiGet(hot, out.data(), ServingRead()).AllOk());
-  EXPECT_GE(Count(*server, "mlkv_cache_hits_total") - hits_before, 12u);
 }
 
 }  // namespace
