@@ -291,5 +291,5 @@ int main(int argc, char** argv) {
   if (only.empty() || only == "d3") AblationD3(s);
   if (only.empty() || only == "gc") AblationGc(s);
   if (only.empty() || only == "idx") AblationIndex(s);
-  return 0;
+  return flags.RejectUnread();
 }

@@ -295,5 +295,5 @@ int main(int argc, char** argv) {
   std::printf("\nincremental checkpoint bytes: %.1f%% of full "
               "(target <= 10%%)\n",
               100.0 * incr_bytes / full_bytes);
-  return 0;
+  return flags.RejectUnread();
 }

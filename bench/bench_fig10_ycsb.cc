@@ -148,5 +148,5 @@ int main(int argc, char** argv) {
   std::printf("\nExpected shape (paper): overhead <= ~10%% uniform, <= ~20%% "
               "zipfian; throughput scales with buffer and threads and falls "
               "with value size.\n");
-  return 0;
+  return flags.RejectUnread();
 }

@@ -139,5 +139,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\nExpected shape (paper): MLKV beats FASTER at equal buffer "
               "size; larger buffers converge faster in wall-clock.\n");
-  return 0;
+  return flags.RejectUnread();
 }

@@ -248,5 +248,5 @@ int main(int argc, char** argv) {
   if (!flags.Has("no_shard_sweep")) {
     RunShardSweep(flags);
   }
-  return 0;
+  return flags.RejectUnread();
 }

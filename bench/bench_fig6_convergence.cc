@@ -144,5 +144,5 @@ int main(int argc, char** argv) {
     PrintCurves("GNN on Papers100M (GraphSage)", "accuracy", t1.Train(),
                 t2.Train());
   }
-  return 0;
+  return flags.RejectUnread();
 }

@@ -161,5 +161,5 @@ int main(int argc, char** argv) {
   std::printf("\nExpected shape (paper): MLKV > FASTER > RocksDB/WiredTiger "
               "out-of-core; gaps shrink as the buffer grows; MLKV lowest "
               "J/batch.\n");
-  return 0;
+  return flags.RejectUnread();
 }

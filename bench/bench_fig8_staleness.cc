@@ -114,5 +114,5 @@ int main(int argc, char** argv) {
   std::printf("\nExpected shape (paper): throughput rises steeply from "
               "bound 0 and saturates; quality degrades only slightly up to "
               "bound ~80, more when unbounded.\n");
-  return 0;
+  return flags.RejectUnread();
 }

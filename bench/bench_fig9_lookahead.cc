@@ -184,7 +184,10 @@ int main(int argc, char** argv) {
                 "          --cold_batch=256 --cold_rounds=120\n");
     return 0;
   }
-  if (flags.Has("cold")) return RunColdSweep(flags);
+  if (flags.Has("cold")) {
+    const int rc = RunColdSweep(flags);
+    return rc != 0 ? rc : flags.RejectUnread();
+  }
   const uint64_t batches = flags.Int("batches", 60, 3);
   const uint64_t buffer_mb = flags.Int("buffer_mb", 3);
   const uint64_t compute_us = flags.Int("compute_us", 1000, 50);
@@ -274,5 +277,5 @@ int main(int argc, char** argv) {
   std::printf("\nExpected shape (paper): (a) largest speedups at low bounds; "
               "(b) MLKV > FASTER at every buffer size, for both standard and "
               "BETA orderings.\n");
-  return 0;
+  return flags.RejectUnread();
 }

@@ -222,7 +222,7 @@ int Main(int argc, char** argv) {
   }
   BenchOptimizers(flags, vec);
   BenchBulkPrimitives(flags, vec);
-  return 0;
+  return flags.RejectUnread();
 }
 
 }  // namespace

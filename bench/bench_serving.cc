@@ -453,5 +453,5 @@ int main(int argc, char** argv) {
                 "few %% extra requests. Unskewed reads pay one pool handoff "
                 "plus a row copy (a bounded p50 cost), never a second RPC.\n");
   }
-  return 0;
+  return flags.RejectUnread();
 }

@@ -14,6 +14,7 @@ using namespace mlkv;
 using namespace mlkv::bench;
 
 int main(int argc, char** argv) {
+  const Flags flags(argc, argv);  // takes no flags beyond --smoke
   Banner("Table II: datasets and models (paper scale -> repo scale)");
   Table t({"dataset", "paper #emb", "repo #emb", "dim", "type", "models"});
   t.PrintHeader();
@@ -118,5 +119,5 @@ int main(int argc, char** argv) {
 
   std::printf("\nAll generators synthesize skew + planted learnable signal; "
               "see DESIGN.md section 1.\n");
-  return 0;
+  return flags.RejectUnread();
 }

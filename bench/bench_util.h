@@ -1,12 +1,14 @@
 // Shared harness utilities for the figure-reproduction benchmarks: a tiny
-// --key=value flag parser and fixed-width table printing so each binary
-// emits the same rows/series its paper figure reports.
+// --key=value flag parser that fails a run given a flag the binary never
+// read, and fixed-width table printing so each binary emits the same
+// rows/series its paper figure reports.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,10 +16,13 @@ namespace mlkv::bench {
 
 class Flags {
  public:
-  Flags(int argc, char** argv) {
+  Flags(int argc, char** argv) : program_(argc > 0 ? argv[0] : "bench") {
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) continue;
+      if (arg.rfind("--", 0) != 0) {
+        stray_.push_back(arg);
+        continue;
+      }
       arg = arg.substr(2);
       const size_t eq = arg.find('=');
       if (eq == std::string::npos) {
@@ -29,35 +34,22 @@ class Flags {
   }
 
   int64_t Int(const std::string& name, int64_t def) const {
-    for (const auto& [k, v] : kv_) {
-      if (k == name) return std::strtoll(v.c_str(), nullptr, 10);
-    }
-    return def;
+    const std::string* v = Find(name);
+    return v != nullptr ? std::strtoll(v->c_str(), nullptr, 10) : def;
   }
   double Double(const std::string& name, double def) const {
-    for (const auto& [k, v] : kv_) {
-      if (k == name) return std::strtod(v.c_str(), nullptr);
-    }
-    return def;
+    const std::string* v = Find(name);
+    return v != nullptr ? std::strtod(v->c_str(), nullptr) : def;
   }
   bool Bool(const std::string& name, bool def) const {
-    for (const auto& [k, v] : kv_) {
-      if (k == name) return v != "0" && v != "false";
-    }
-    return def;
+    const std::string* v = Find(name);
+    return v != nullptr ? *v != "0" && *v != "false" : def;
   }
   std::string Str(const std::string& name, const std::string& def) const {
-    for (const auto& [k, v] : kv_) {
-      if (k == name) return v;
-    }
-    return def;
+    const std::string* v = Find(name);
+    return v != nullptr ? *v : def;
   }
-  bool Has(const std::string& name) const {
-    for (const auto& [k, v] : kv_) {
-      if (k == name) return true;
-    }
-    return false;
-  }
+  bool Has(const std::string& name) const { return Find(name) != nullptr; }
 
   // --smoke: CI sanity mode. Every bench binary must finish in seconds.
   bool Smoke() const { return Bool("smoke", false); }
@@ -74,8 +66,46 @@ class Flags {
     return Smoke() ? smoke_def : def;
   }
 
+  // The exit code of a run: 0 when the binary read every flag it was
+  // given, else 2 after a usage error naming each flag it never read (and
+  // each argument that is not a --flag). Call it last in main, so a
+  // misspelled flag (--hedgee) fails the run instead of silently dropping
+  // what it meant to switch on. --smoke is accepted everywhere: every
+  // bench takes it (scripts/run_bench_smoke.sh).
+  int RejectUnread() const {
+    size_t bad = 0;
+    for (const auto& [k, v] : kv_) {
+      if (k == "smoke" || read_.count(k) != 0) continue;
+      std::fprintf(stderr, "%s: unknown flag --%s (or unused in this mode)\n",
+                   program_.c_str(), k.c_str());
+      ++bad;
+    }
+    for (const std::string& a : stray_) {
+      std::fprintf(stderr, "%s: unexpected argument '%s'\n", program_.c_str(),
+                   a.c_str());
+      ++bad;
+    }
+    if (bad == 0) return 0;
+    std::fprintf(stderr, "usage: %s [--smoke] [--name[=value] ...]\n",
+                 program_.c_str());
+    return 2;
+  }
+
  private:
+  // The value of --name (nullptr when absent); records that it was read.
+  // Not synchronized: every bench reads its flags on the main thread.
+  const std::string* Find(const std::string& name) const {
+    read_.insert(name);
+    for (const auto& [k, v] : kv_) {
+      if (k == name) return &v;
+    }
+    return nullptr;
+  }
+
+  std::string program_;
   std::vector<std::pair<std::string, std::string>> kv_;
+  std::vector<std::string> stray_;
+  mutable std::set<std::string> read_;
 };
 
 // Fixed-width table: Header(...) then Row(...) with matching arity.

@@ -781,5 +781,5 @@ int main(int argc, char** argv) {
       std::printf("aggregate MultiGet: %s keys/s\n", Human(kps).c_str());
     }
   }
-  return 0;
+  return flags.RejectUnread();
 }

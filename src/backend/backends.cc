@@ -158,6 +158,12 @@ void EmitStoreMetrics(ShardedStore* store, obs::MetricsSink* sink) {
                  static_cast<double>(store->log_span_bytes()));
   sink->AddGauge("mlkv_store_index_slots", "Hash index slot count",
                  static_cast<double>(store->index_slots()));
+  if (const AsyncIoEngine* io = store->options().store.io) {
+    sink->AddHistogram("mlkv_io_queue_wait_seconds",
+                       "Time an AsyncIoEngine request waited between Submit "
+                       "and a worker picking it up",
+                       io->queue_wait());
+  }
 }
 
 // Deduplicated view of one batch: `unique` holds first occurrences in
@@ -504,6 +510,10 @@ class MlkvBackend : public KvBackend {
   void CollectMetrics(obs::MetricsSink* sink) const override {
     KvBackend::CollectMetrics(sink);
     EmitStoreMetrics(const_cast<EmbeddingTable*>(table_)->store(), sink);
+    sink->AddCounter("mlkv_lookahead_dropped_total",
+                     "Lookahead shard batches dropped because the lookahead "
+                     "pool queue was full",
+                     table_->lookahead_dropped());
   }
 
   uint32_t replication_shards() const override {

@@ -1,6 +1,7 @@
 #include "io/async_io.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 
 #ifdef MLKV_HAVE_IO_URING
@@ -179,6 +180,25 @@ bool ProbeIoUring() {
 
 #endif  // MLKV_HAVE_IO_URING
 
+namespace {
+
+// A queued request older than this is overdue: its batch is served ahead of
+// shorter queues, so a long wave waits behind short ones for a bounded time.
+constexpr uint64_t kOverdueUs = 3000;
+
+uint64_t NowUs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+bool AllowsRaw(const FileDevice* dev, bool is_write) {
+  return is_write ? dev->AllowsRawWrites() : dev->AllowsRawReads();
+}
+
+}  // namespace
+
 AsyncIoEngine::AsyncIoEngine(const Options& options) : options_(options) {
   const size_t threads = std::max<size_t>(options.io_threads, 1);
   const size_t depth = std::max<size_t>(options.queue_depth, threads);
@@ -196,6 +216,8 @@ AsyncIoEngine::~AsyncIoEngine() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
+    // Submitters blocked on a full batch queue give up (Aborted).
+    for (Batch* b : ready_) b->space_cv_.notify_all();
   }
   queue_cv_.notify_all();
   // Workers drain the queue before exiting, so every accepted read still
@@ -213,10 +235,13 @@ AsyncIoStats AsyncIoEngine::stats() const {
   s.writes_submitted = writes_submitted_.load(std::memory_order_relaxed);
   s.writes_completed = writes_completed_.load(std::memory_order_relaxed);
   s.write_failures = write_failures_.load(std::memory_order_relaxed);
+  s.ring_bursts = ring_bursts_.load(std::memory_order_relaxed);
   return s;
 }
 
-Status AsyncIoEngine::Enqueue(const Request& req, Batch* batch) {
+Status AsyncIoEngine::Enqueue(Request req) {
+  Batch* batch = req.batch;
+  req.submit_us = NowUs();
   {
     // Count the request against its batch before a worker can see it, so
     // outstanding_ never lags a delivery.
@@ -225,18 +250,17 @@ Status AsyncIoEngine::Enqueue(const Request& req, Batch* batch) {
   }
   {
     std::unique_lock<std::mutex> lk(mu_);
-    depth_cv_.wait(lk, [this] {
-      return stop_ || inflight_ < std::max<size_t>(options_.queue_depth,
-                                                   workers_.size());
-    });
+    const size_t depth = std::max<size_t>(options_.queue_depth, 1);
+    batch->space_cv_.wait(
+        lk, [&] { return stop_ || batch->queue_.size() < depth; });
     if (stop_) {
       lk.unlock();
       std::lock_guard<std::mutex> blk(batch->mu_);
       --batch->outstanding_;
       return Status::Aborted("async io engine shut down");
     }
-    ++inflight_;
-    queue_.push_back(req);
+    if (batch->queue_.empty()) ready_.push_back(batch);
+    batch->queue_.push_back(req);
   }
   if (req.is_write) {
     writes_submitted_.fetch_add(1, std::memory_order_relaxed);
@@ -250,7 +274,7 @@ Status AsyncIoEngine::Enqueue(const Request& req, Batch* batch) {
 Status AsyncIoEngine::Batch::Submit(const FileDevice* dev, uint64_t offset,
                                     void* buf, uint32_t len, uint64_t tag) {
   return engine_->Enqueue(
-      Request{dev, offset, buf, len, tag, this, /*is_write=*/false}, this);
+      Request{dev, offset, buf, len, tag, this, /*is_write=*/false});
 }
 
 Status AsyncIoEngine::Batch::SubmitWrite(FileDevice* dev, uint64_t offset,
@@ -259,8 +283,7 @@ Status AsyncIoEngine::Batch::SubmitWrite(FileDevice* dev, uint64_t offset,
   // The buffer is only read on the write path; the cast parks it in the
   // Request's single buf field.
   return engine_->Enqueue(Request{dev, offset, const_cast<void*>(buf), len,
-                                  tag, this, /*is_write=*/true},
-                          this);
+                                  tag, this, /*is_write=*/true});
 }
 
 bool AsyncIoEngine::Batch::WaitOne(Completion* out) {
@@ -312,20 +335,57 @@ void AsyncIoEngine::Deliver(const Request& req, const Status& status) {
     req.batch->done_.push_back(Completion{req.tag, status});
     req.batch->cv_.notify_all();
   }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    --inflight_;
+}
+
+AsyncIoEngine::Batch* AsyncIoEngine::PickLocked() {
+  Batch* shortest = ready_.front();
+  Batch* oldest = ready_.front();
+  for (Batch* b : ready_) {
+    if (b->queue_.size() < shortest->queue_.size()) shortest = b;
+    if (b->queue_.front().submit_us < oldest->queue_.front().submit_us) {
+      oldest = b;
+    }
   }
-  depth_cv_.notify_one();
+  const uint64_t oldest_us = oldest->queue_.front().submit_us;
+  const uint64_t now = NowUs();
+  return now > oldest_us + kOverdueUs ? oldest : shortest;
 }
 
 bool AsyncIoEngine::NextBurst(std::vector<Request>* out, size_t max) {
-  std::unique_lock<std::mutex> lk(mu_);
-  queue_cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
-  if (queue_.empty()) return false;  // stop with a drained queue
-  const size_t n = std::min(queue_.size(), max);
-  out->assign(queue_.begin(), queue_.begin() + static_cast<long>(n));
-  queue_.erase(queue_.begin(), queue_.begin() + static_cast<long>(n));
+  out->clear();
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    queue_cv_.wait(lk, [this] { return stop_ || !ready_.empty(); });
+    if (ready_.empty()) return false;  // stop with every queue drained
+    const size_t depth = std::max<size_t>(options_.queue_depth, 1);
+    // A decorated-device request runs blocking on this worker, so it is a
+    // pick on its own and the rest of its wave spreads over the other
+    // workers. Raw-fd requests ride the ring: the burst keeps picking,
+    // across batches, until it holds `max` of them, so many short waves
+    // still fill the ring.
+    do {
+      Batch* b = PickLocked();
+      std::deque<Request>& q = b->queue_;
+      const bool raw = AllowsRaw(q.front().dev, q.front().is_write);
+      if (!out->empty() && !raw) break;
+      const bool was_full = q.size() >= depth;
+      do {
+        out->push_back(q.front());
+        q.pop_front();
+      } while (raw && out->size() < max && !q.empty() &&
+               AllowsRaw(q.front().dev, q.front().is_write));
+      if (q.empty()) {
+        *std::find(ready_.begin(), ready_.end(), b) = ready_.back();
+        ready_.pop_back();
+      }
+      if (was_full) b->space_cv_.notify_all();
+      if (!raw) break;
+    } while (out->size() < max && !ready_.empty());
+  }
+  const uint64_t now = NowUs();
+  for (const Request& r : *out) {
+    queue_wait_.Record(now > r.submit_us ? now - r.submit_us : 0);
+  }
   return true;
 }
 
@@ -355,9 +415,7 @@ void AsyncIoEngine::WorkerLoop() {
       flight.clear();
       flight.reserve(burst.size());
       for (const Request& r : burst) {
-        const bool raw =
-            r.is_write ? r.dev->AllowsRawWrites() : r.dev->AllowsRawReads();
-        if (raw) {
+        if (AllowsRaw(r.dev, r.is_write)) {
           flight.push_back(InFlight{r, {r.buf, r.len}});
         } else {
           Deliver(r, RunBlocking(r));
@@ -376,6 +434,7 @@ void AsyncIoEngine::WorkerLoop() {
       for (size_t i = prepped; i < flight.size(); ++i) {
         Deliver(flight[i].req, RunBlocking(flight[i].req));
       }
+      if (prepped > 0) ring_bursts_.fetch_add(1, std::memory_order_relaxed);
       size_t reaped = 0;
       bool enter_failed = false;
       std::vector<uint8_t> seen(prepped, 0);

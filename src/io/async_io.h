@@ -8,22 +8,37 @@
 // I/O:
 //
 //  * io_uring (when the build detects <linux/io_uring.h> and the kernel
-//    admits the syscalls at runtime): each worker owns a ring and keeps up
-//    to its share of the engine depth in flight with one syscall per burst
-//    (READV sqes for reads, WRITEV for writes). Only devices that allow
-//    raw-fd transfers ride the ring; decorated devices (fault injection,
-//    the simulated-NVMe cost model) are routed through their virtual
-//    ReadAt/WriteAt on the worker instead, so their semantics hold.
+//    admits the syscalls at runtime): each worker owns a ring and puts a
+//    burst of up to queue_depth / io_threads requests in flight with one
+//    syscall (READV sqes for reads, WRITEV for writes). Only devices that
+//    allow raw-fd transfers ride the ring; decorated devices (fault
+//    injection, the simulated-NVMe cost model) are routed through their
+//    virtual ReadAt/WriteAt on the worker instead, so their semantics hold.
 //  * thread pool (fallback everywhere): each worker issues one blocking
 //    pread/pwrite at a time, so `io_threads` transfers overlap.
 //
-// Backpressure and lifetime rules:
-//  * `queue_depth` bounds requests in flight across the whole engine;
-//    Submit blocks (never the I/O itself) once the limit is reached.
+// Scheduling, backpressure and lifetime rules:
+//  * Each Batch (one pending-read wave, one flush wave) owns the queue of
+//    its submitted requests; the engine keeps a ready list of the batches
+//    that have queued work. A worker serves the batch with the fewest
+//    queued requests, so a short wave (a Get with few cold reads, a chain
+//    hop) is not stuck behind a long wave's backlog. Once the oldest
+//    queued request has waited more than 3 ms, its batch is served first
+//    instead, so a long wave waits behind short ones for a bounded time
+//    and never starves.
+//  * A pick takes one request from a decorated device (run blocking on
+//    the picking worker, so those reads spread across the workers). A
+//    ring burst instead keeps picking raw-fd requests, across batches,
+//    until it holds the worker's ring share of them.
+//  * `queue_depth` bounds each batch's queued requests; Submit on that
+//    batch blocks (never the I/O itself) once it is reached. One wave's
+//    backlog therefore never blocks another wave's Submit.
 //  * A Batch must outlive its submissions; its destructor blocks until
 //    every outstanding completion has been delivered.
 //  * The engine destructor drains: every accepted request completes (and
 //    is delivered to its batch) before the workers exit.
+//  * queue_wait() records, per request, the time from Submit until a
+//    worker picked it up (mlkv_io_queue_wait_seconds).
 //
 // Writes carry no durability by themselves: a completed write is in the
 // page cache, not on media. Durability is the caller's fsync — see
@@ -39,6 +54,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/histogram.h"
 #include "common/status.h"
 #include "io/file_device.h"
 
@@ -73,14 +89,33 @@ struct AsyncIoStats {
   uint64_t writes_submitted = 0;
   uint64_t writes_completed = 0;
   uint64_t write_failures = 0;  // write completions with a non-OK status
+  uint64_t ring_bursts = 0;     // io_uring submissions (one per burst)
 };
 
 class AsyncIoEngine {
  public:
+  class Batch;
+
+ private:
+  struct Request {
+    // Reads keep their const view; writes const_cast back to call the
+    // non-const WriteAt (SubmitWrite takes a mutable device, so the cast
+    // never strips a caller's constness).
+    const FileDevice* dev = nullptr;
+    uint64_t offset = 0;
+    void* buf = nullptr;  // destination for reads, source for writes
+    uint32_t len = 0;
+    uint64_t tag = 0;
+    Batch* batch = nullptr;
+    bool is_write = false;
+    uint64_t submit_us = 0;  // steady clock at Submit (queue-wait start)
+  };
+
+ public:
   struct Options {
     size_t io_threads = 4;
-    // Max reads in flight across the engine; Submit applies backpressure
-    // beyond it.
+    // Max queued requests per Batch; Submit on a batch applies
+    // backpressure beyond it. Other batches are unaffected.
     size_t queue_depth = 128;
     // Prefer the io_uring backend when it was compiled in and the kernel
     // allows it; the thread pool is the fallback either way.
@@ -105,7 +140,7 @@ class AsyncIoEngine {
 
     // Enqueues a read of [offset, offset + len) on `dev` into `buf`. `buf`
     // (and `dev`) must stay valid until the completion is collected. May
-    // block on the engine depth limit, never on the I/O.
+    // block on this batch's depth limit, never on the I/O.
     Status Submit(const FileDevice* dev, uint64_t offset, void* buf,
                   uint32_t len, uint64_t tag);
     // Enqueues a write of `buf`[0, len) to [offset, offset + len) on
@@ -126,6 +161,10 @@ class AsyncIoEngine {
     std::condition_variable cv_;
     std::deque<Completion> done_;
     size_t outstanding_ = 0;
+    // Scheduling state, guarded by engine_->mu_: the submitted requests no
+    // worker has picked yet, and the submitters waiting for queue space.
+    std::deque<Request> queue_;
+    std::condition_variable space_cv_;
   };
 
   AsyncIoEngine() : AsyncIoEngine(Options()) {}
@@ -140,29 +179,23 @@ class AsyncIoEngine {
   // the kernel at construction time).
   bool using_io_uring() const { return using_io_uring_; }
   AsyncIoStats stats() const;
+  // Microseconds each request waited between Submit and a worker picking
+  // it up.
+  const Histogram& queue_wait() const { return queue_wait_; }
 
  private:
-  struct Request {
-    // Reads keep their const view; writes const_cast back to call the
-    // non-const WriteAt (SubmitWrite takes a mutable device, so the cast
-    // never strips a caller's constness).
-    const FileDevice* dev = nullptr;
-    uint64_t offset = 0;
-    void* buf = nullptr;  // destination for reads, source for writes
-    uint32_t len = 0;
-    uint64_t tag = 0;
-    Batch* batch = nullptr;
-    bool is_write = false;
-  };
-
-  Status Enqueue(const Request& req, Batch* batch);
+  Status Enqueue(Request req);
+  // The ready batch the next pick serves (see the header comment).
+  // Requires mu_ and a non-empty ready_.
+  Batch* PickLocked();
   // Executes one request on the calling worker thread via the device's
   // virtual ReadAt/WriteAt (the non-ring path and the decorated-device /
   // short-transfer completion path).
   static Status RunBlocking(const Request& req);
   void WorkerLoop();
-  // Takes up to `max` queued requests (blocking for at least one unless
-  // stopping); returns false when the worker should exit.
+  // Takes one pick's requests (blocking for at least one unless stopping):
+  // a single decorated-device request, or up to `max` raw-fd requests of
+  // one batch. Returns false when the worker should exit.
   bool NextBurst(std::vector<Request>* out, size_t max);
   void Deliver(const Request& req, const Status& status);
 
@@ -171,11 +204,10 @@ class AsyncIoEngine {
   bool using_io_uring_ = false;
 
   std::mutex mu_;
-  std::condition_variable queue_cv_;   // workers: work available / stop
-  std::condition_variable depth_cv_;   // submitters: depth slot available
-  std::deque<Request> queue_;
-  size_t inflight_ = 0;  // accepted but not yet delivered
+  std::condition_variable queue_cv_;  // workers: work available / stop
+  std::vector<Batch*> ready_;         // batches with queued requests
   bool stop_ = false;
+  Histogram queue_wait_;
 
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> completed_{0};
@@ -183,6 +215,7 @@ class AsyncIoEngine {
   std::atomic<uint64_t> writes_submitted_{0};
   std::atomic<uint64_t> writes_completed_{0};
   std::atomic<uint64_t> write_failures_{0};
+  std::atomic<uint64_t> ring_bursts_{0};
 
   std::vector<std::thread> workers_;
 };

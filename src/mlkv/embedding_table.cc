@@ -1,5 +1,6 @@
 #include "mlkv/embedding_table.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <thread>
@@ -230,6 +231,10 @@ Status EmbeddingTable::Lookahead(std::span<const Key> keys, LookaheadDest dest,
     pending_lookaheads_.fetch_add(1, std::memory_order_acq_rel);
     const bool submitted = lookahead_pool_->TrySubmit([this, shard, batch,
                                                        dest, cache] {
+      // A call repeats keys (a minibatch's fields share rows); each
+      // distinct key is prefetched once.
+      std::sort(batch->begin(), batch->end());
+      batch->erase(std::unique(batch->begin(), batch->end()), batch->end());
       if (dest == LookaheadDest::kStorageBuffer) {
         // Pending-read pipeline: every cold key in this shard batch goes
         // into flight together, and promotions complete from the landed
@@ -268,6 +273,7 @@ Status EmbeddingTable::Lookahead(std::span<const Key> keys, LookaheadDest dest,
       // Queue full: prefetching is best-effort, drop this shard's batch
       // (backpressure).
       pending_lookaheads_.fetch_sub(1, std::memory_order_acq_rel);
+      lookahead_dropped_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   return Status::OK();

@@ -105,13 +105,21 @@ class EmbeddingTable {
 
   // Non-blocking look-ahead prefetch (§III-C2). Asynchronously brings the
   // records for `keys` from disk into the chosen destination; returns
-  // immediately. `cache` is required for kApplicationCache.
+  // immediately. `cache` is required for kApplicationCache. One pool task
+  // per shard prefetches that shard's distinct keys; a task the lookahead
+  // pool refuses (queue full) is dropped and counted in
+  // lookahead_dropped().
   Status Lookahead(std::span<const Key> keys,
                    LookaheadDest dest = LookaheadDest::kStorageBuffer,
                    EmbeddingCache* cache = nullptr);
 
   // Blocks until all queued Lookahead work for this table has completed.
   void WaitLookahead();
+  // Shard batches Lookahead dropped because the pool queue was full
+  // (mlkv_lookahead_dropped_total).
+  uint64_t lookahead_dropped() const {
+    return lookahead_dropped_.load(std::memory_order_relaxed);
+  }
 
   // Writes every live embedding (key + dim floats, optimizer state
   // stripped) to `path` in a flat binary format — the serving-export /
@@ -167,6 +175,7 @@ class EmbeddingTable {
   std::unique_ptr<ShardedStore> store_;
   ThreadPool* lookahead_pool_;
   std::atomic<uint64_t> pending_lookaheads_{0};
+  std::atomic<uint64_t> lookahead_dropped_{0};
 };
 
 }  // namespace mlkv

@@ -126,6 +126,42 @@ std::string FormatBound(double b) {
   return buf;
 }
 
+// One histogram series: a cumulative bucket per `le` bound, +Inf, _sum and
+// _count.
+void AppendHistogram(const std::string& name,
+                     const std::vector<std::string>& keys,
+                     const std::vector<std::string>& values,
+                     const Histogram& h, const HistogramSpec& spec,
+                     std::string* out) {
+  for (const double bound : spec.bounds) {
+    const double raw = bound / spec.scale;
+    const uint64_t threshold =
+        raw >= 1e19 ? UINT64_MAX : static_cast<uint64_t>(std::llround(raw));
+    const std::pair<std::string, std::string> le{"le", FormatBound(bound)};
+    *out += name + "_bucket";
+    AppendLabels(keys, values, &le, out);
+    *out += ' ';
+    AppendValue(static_cast<double>(h.CountAtOrBelow(threshold)), out);
+    *out += '\n';
+  }
+  const std::pair<std::string, std::string> inf{"le", "+Inf"};
+  *out += name + "_bucket";
+  AppendLabels(keys, values, &inf, out);
+  *out += ' ';
+  AppendValue(static_cast<double>(h.count()), out);
+  *out += '\n';
+  *out += name + "_sum";
+  AppendLabels(keys, values, nullptr, out);
+  *out += ' ';
+  AppendValue(static_cast<double>(h.sum()) * spec.scale, out);
+  *out += '\n';
+  *out += name + "_count";
+  AppendLabels(keys, values, nullptr, out);
+  *out += ' ';
+  AppendValue(static_cast<double>(h.count()), out);
+  *out += '\n';
+}
+
 }  // namespace
 
 // ---- MetricFamily -------------------------------------------------------
@@ -194,6 +230,16 @@ void MetricsSink::AddGauge(std::string_view name, std::string_view help,
                            double value,
                            std::initializer_list<Label> labels) {
   Push(name, help, MetricKind::kGauge, value, labels);
+}
+
+void MetricsSink::AddHistogram(std::string_view name, std::string_view help,
+                               const Histogram& h,
+                               std::initializer_list<Label> labels) {
+  auto snapshot = std::make_shared<Histogram>();
+  snapshot->Merge(h);
+  Push(name, help, MetricKind::kHistogram,
+       static_cast<double>(snapshot->count()), labels);
+  samples_.back().histogram = std::move(snapshot);
 }
 
 // ---- MetricsRegistry ----------------------------------------------------
@@ -281,7 +327,17 @@ std::string MetricsRegistry::ExpositionText() const {
   }
 
   std::string out;
-  auto emit_sample = [&out](const MetricsSink::Sample& s) {
+  const HistogramSpec sink_spec{1e-6, DefaultLatencyBounds()};
+  auto emit_sample = [&out, &sink_spec](const MetricsSink::Sample& s) {
+    if (s.histogram != nullptr) {
+      std::vector<std::string> keys, values;
+      for (const auto& [k, v] : s.labels) {
+        keys.push_back(k);
+        values.push_back(v);
+      }
+      AppendHistogram(s.name, keys, values, *s.histogram, sink_spec, &out);
+      return;
+    }
     out += s.name;
     if (!s.labels.empty()) {
       out += '{';
@@ -323,38 +379,8 @@ std::string MetricsRegistry::ExpositionText() const {
         break;
       case MetricKind::kHistogram:
         for (const auto& [labels, cell] : fam->histograms_) {
-          const Histogram& h = cell->histogram();
-          const HistogramSpec& spec = fam->spec_;
-          for (const double bound : spec.bounds) {
-            const double raw = bound / spec.scale;
-            const uint64_t threshold =
-                raw >= 1e19 ? UINT64_MAX
-                            : static_cast<uint64_t>(std::llround(raw));
-            const std::pair<std::string, std::string> le{"le",
-                                                         FormatBound(bound)};
-            out += name + "_bucket";
-            AppendLabels(fam->label_keys(), labels, &le, &out);
-            out += ' ';
-            AppendValue(static_cast<double>(h.CountAtOrBelow(threshold)),
-                        &out);
-            out += '\n';
-          }
-          const std::pair<std::string, std::string> inf{"le", "+Inf"};
-          out += name + "_bucket";
-          AppendLabels(fam->label_keys(), labels, &inf, &out);
-          out += ' ';
-          AppendValue(static_cast<double>(h.count()), &out);
-          out += '\n';
-          out += name + "_sum";
-          AppendLabels(fam->label_keys(), labels, nullptr, &out);
-          out += ' ';
-          AppendValue(static_cast<double>(h.sum()) * spec.scale, &out);
-          out += '\n';
-          out += name + "_count";
-          AppendLabels(fam->label_keys(), labels, nullptr, &out);
-          out += ' ';
-          AppendValue(static_cast<double>(h.count()), &out);
-          out += '\n';
+          AppendHistogram(name, fam->label_keys(), labels, cell->histogram(),
+                          fam->spec_, &out);
         }
         break;
     }

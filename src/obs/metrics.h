@@ -194,7 +194,11 @@ class MetricsSink {
     std::string help;
     MetricKind kind = MetricKind::kCounter;
     std::vector<std::pair<std::string, std::string>> labels;
-    double value = 0;
+    double value = 0;  // a histogram's count
+    // Histogram samples: a copy taken at AddHistogram time (the source may
+    // die before the scrape renders). Recorded in microseconds, exposed in
+    // seconds over DefaultLatencyBounds().
+    std::shared_ptr<const Histogram> histogram;
   };
   using Label = std::pair<std::string_view, std::string_view>;
 
@@ -202,6 +206,9 @@ class MetricsSink {
                   uint64_t value, std::initializer_list<Label> labels = {});
   void AddGauge(std::string_view name, std::string_view help, double value,
                 std::initializer_list<Label> labels = {});
+  void AddHistogram(std::string_view name, std::string_view help,
+                    const Histogram& h,
+                    std::initializer_list<Label> labels = {});
 
   const std::vector<Sample>& samples() const { return samples_; }
   // Sum of family `name`'s samples across all label sets (0 if absent):

@@ -1,6 +1,8 @@
 // AsyncIoEngine, GroupCommitter, and FaultyFileDevice unit tests:
 // submit/complete correctness against real files (reads and writes),
-// batch isolation, depth-limit backpressure, drain-on-shutdown with
+// batch isolation, per-batch depth-limit backpressure, wave scheduling
+// (shortest queue first with an overdue bound, ring bursts across batches,
+// decorated reads spread over the workers), drain-on-shutdown with
 // submissions outstanding, the io_uring/thread-pool backend split, the
 // batched-fsync commit protocol, and the fault decorator's scripted
 // failures.
@@ -12,6 +14,8 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -182,6 +186,290 @@ TEST_P(AsyncIoTest, DepthLimitAppliesBackpressureNotLoss) {
     ++completed;
   }
   EXPECT_EQ(completed, kReads);
+}
+
+// Shortest queue first: two reads submitted behind a 48-read wave on a
+// slow device are served at the next picks (1 ms in, well before the
+// long wave is overdue), not after the whole wave (a FIFO would have
+// completed all 48 first).
+TEST_P(AsyncIoTest, ShortBatchBehindLongBatchFinishesFirst) {
+  TempDir dir;
+  FileDevice dev;
+  ASSERT_TRUE(dev.Open(dir.File("data")).ok());
+  FillPattern(&dev, 64 * 1024);
+  dev.SetSimulatedCosts(/*read_latency_us=*/1000, 0, 0);
+
+  AsyncIoEngine engine(EngineOptions(2));
+  constexpr size_t kLong = 48;
+  std::vector<std::vector<char>> bufs(kLong + 2, std::vector<char>(128));
+  AsyncIoEngine::Batch long_batch(&engine);
+  for (size_t i = 0; i < kLong; ++i) {
+    ASSERT_TRUE(
+        long_batch.Submit(&dev, i * 128, bufs[i].data(), 128, i).ok());
+  }
+  AsyncIoEngine::Batch short_batch(&engine);
+  for (size_t i = kLong; i < kLong + 2; ++i) {
+    ASSERT_TRUE(
+        short_batch.Submit(&dev, i * 128, bufs[i].data(), 128, i).ok());
+  }
+  AsyncIoEngine::Completion c;
+  while (short_batch.WaitOne(&c)) {
+    EXPECT_TRUE(c.status.ok());
+    EXPECT_TRUE(MatchesPattern(bufs[c.tag].data(), c.tag * 128, 128));
+  }
+  const uint64_t completed_then = engine.stats().reads_completed;
+  EXPECT_LT(completed_then, 2 + kLong / 2);
+  size_t long_done = 0;
+  while (long_batch.WaitOne(&c)) {
+    EXPECT_TRUE(c.status.ok());
+    ++long_done;
+  }
+  EXPECT_EQ(long_done, kLong);
+}
+
+// The overdue rule: a long wave still finishes while short batches keep
+// arriving (strict shortest-queue-first would serve the stream of short
+// batches indefinitely).
+TEST_P(AsyncIoTest, LongBatchFinishesWhileShortBatchesKeepArriving) {
+  TempDir dir;
+  FileDevice dev;
+  ASSERT_TRUE(dev.Open(dir.File("data")).ok());
+  FillPattern(&dev, 64 * 1024);
+  dev.SetSimulatedCosts(/*read_latency_us=*/1000, 0, 0);
+
+  AsyncIoEngine engine(EngineOptions(2));
+  std::atomic<bool> long_done{false};
+  std::atomic<uint64_t> short_batches{0};
+  std::vector<std::thread> shorts;
+  for (int t = 0; t < 3; ++t) {
+    shorts.emplace_back([&, t] {
+      char buf[64];
+      while (!long_done.load()) {
+        AsyncIoEngine::Batch b(&engine);
+        if (!b.Submit(&dev, static_cast<uint64_t>(t) * 64, buf, 64, 0).ok()) {
+          return;
+        }
+        AsyncIoEngine::Completion c;
+        while (b.WaitOne(&c)) {
+        }
+        short_batches.fetch_add(1);
+      }
+    });
+  }
+  // Let the short stream start before the long wave queues behind it.
+  while (short_batches.load() < 3) std::this_thread::yield();
+
+  constexpr size_t kLong = 32;
+  std::vector<std::vector<char>> bufs(kLong, std::vector<char>(128));
+  const auto start = std::chrono::steady_clock::now();
+  size_t completed = 0;
+  {
+    AsyncIoEngine::Batch batch(&engine);
+    for (size_t i = 0; i < kLong; ++i) {
+      ASSERT_TRUE(batch.Submit(&dev, i * 128, bufs[i].data(), 128, i).ok());
+    }
+    AsyncIoEngine::Completion c;
+    while (batch.WaitOne(&c)) {
+      EXPECT_TRUE(c.status.ok());
+      ++completed;
+    }
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  const uint64_t shorts_during = short_batches.load();
+  long_done.store(true);
+  for (auto& t : shorts) t.join();
+  EXPECT_EQ(completed, kLong);
+  EXPECT_GT(shorts_during, 3u);  // the short stream really competed
+  // Once overdue, ~32 reads on 2 workers take ~16 ms; the bound only rules
+  // out starvation.
+  EXPECT_LT(
+      std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(), 10);
+}
+
+// A device that records which threads ran its (decorated) reads.
+class ThreadTrackingDevice : public FileDevice {
+ public:
+  Status ReadAt(uint64_t offset, void* data, size_t n) const override {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      threads_.insert(std::this_thread::get_id());
+    }
+    return FileDevice::ReadAt(offset, data, n);
+  }
+  size_t distinct_threads() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return threads_.size();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::set<std::thread::id> threads_;
+};
+
+// Decorated-device reads run blocking on the worker that picks them, one
+// per pick, so one wave's reads spread over the workers instead of one
+// worker running a whole burst serially while the rest idle.
+TEST_P(AsyncIoTest, DecoratedReadsSpreadAcrossWorkers) {
+  TempDir dir;
+  ThreadTrackingDevice dev;
+  ASSERT_TRUE(dev.Open(dir.File("data")).ok());
+  FillPattern(&dev, 64 * 1024);
+  dev.SetSimulatedCosts(/*read_latency_us=*/2000, 0, 0);
+  ASSERT_FALSE(dev.AllowsRawReads());
+
+  AsyncIoEngine engine(EngineOptions(4));
+  AsyncIoEngine::Batch batch(&engine);
+  constexpr size_t kReads = 16;
+  std::vector<std::vector<char>> bufs(kReads, std::vector<char>(128));
+  for (size_t i = 0; i < kReads; ++i) {
+    ASSERT_TRUE(batch.Submit(&dev, i * 128, bufs[i].data(), 128, i).ok());
+  }
+  AsyncIoEngine::Completion c;
+  size_t completed = 0;
+  while (batch.WaitOne(&c)) {
+    EXPECT_TRUE(c.status.ok());
+    EXPECT_TRUE(MatchesPattern(bufs[c.tag].data(), c.tag * 128, 128));
+    ++completed;
+  }
+  EXPECT_EQ(completed, kReads);
+  EXPECT_GE(dev.distinct_threads(), 2u);
+}
+
+// A device whose reads block until the test opens the gate.
+class GatedDevice : public FileDevice {
+ public:
+  bool AllowsRawReads() const override { return false; }
+  Status ReadAt(uint64_t offset, void* data, size_t n) const override {
+    while (!open_.load()) std::this_thread::yield();
+    return FileDevice::ReadAt(offset, data, n);
+  }
+  void Release() { open_.store(true); }
+
+ private:
+  std::atomic<bool> open_{false};
+};
+
+// queue_depth bounds each batch, not the engine: while one wave's
+// submitter is blocked on its own full queue (and no read can complete),
+// another batch's Submit still goes through.
+TEST_P(AsyncIoTest, FullBatchDoesNotBlockAnotherBatchSubmit) {
+  TempDir dir;
+  GatedDevice dev;
+  ASSERT_TRUE(dev.Open(dir.File("data")).ok());
+  FillPattern(&dev, 64 * 1024);
+
+  AsyncIoEngine::Options o = EngineOptions(1);
+  o.queue_depth = 2;
+  AsyncIoEngine engine(o);
+  constexpr size_t kLong = 16;
+  std::vector<std::vector<char>> bufs(kLong, std::vector<char>(128));
+  std::atomic<size_t> long_submitted{0};
+  std::thread long_wave([&] {
+    AsyncIoEngine::Batch batch(&engine);
+    for (size_t i = 0; i < kLong; ++i) {
+      ASSERT_TRUE(batch.Submit(&dev, i * 128, bufs[i].data(), 128, i).ok());
+      long_submitted.fetch_add(1);
+    }
+    AsyncIoEngine::Completion c;
+    while (batch.WaitOne(&c)) EXPECT_TRUE(c.status.ok());
+  });
+  // Polls `cond` for up to 10 s, so a regression fails instead of hanging.
+  const auto wait_for = [](const auto& cond) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!cond() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return cond();
+  };
+  // One read is stuck in the gate and two fill the queue: the long wave's
+  // submitter is now blocked on its fourth read.
+  wait_for([&] { return long_submitted.load() >= 3; });
+  AsyncIoEngine::Batch other(&engine);
+  char buf[128];
+  std::atomic<bool> other_submitted{false};
+  std::thread other_wave([&] {
+    for (uint64_t i = 0; i < 2; ++i) {
+      ASSERT_TRUE(other.Submit(&dev, i * 64, buf + i * 64, 64, i).ok());
+    }
+    other_submitted.store(true);
+  });
+  const bool submitted_while_gated =
+      wait_for([&] { return other_submitted.load(); });
+  const size_t long_submitted_then = long_submitted.load();
+  dev.Release();
+  other_wave.join();
+  EXPECT_EQ(long_submitted_then, 3u);  // its queue was full throughout
+  EXPECT_TRUE(submitted_while_gated);
+  AsyncIoEngine::Completion c;
+  size_t done = 0;
+  while (other.WaitOne(&c)) {
+    EXPECT_TRUE(c.status.ok());
+    ++done;
+  }
+  EXPECT_EQ(done, 2u);
+  long_wave.join();
+  EXPECT_EQ(long_submitted.load(), kLong);
+}
+
+// A ring burst picks across batches: eight one-read waves that queue while
+// the only worker is busy go to the ring in one submission, so short waves
+// still fill the ring.
+TEST_P(AsyncIoTest, RawBurstSpansBatches) {
+  TempDir dir;
+  GatedDevice gated;
+  ASSERT_TRUE(gated.Open(dir.File("gated")).ok());
+  FillPattern(&gated, 4096);
+  FileDevice dev;
+  ASSERT_TRUE(dev.Open(dir.File("data")).ok());
+  FillPattern(&dev, 4096);
+  ASSERT_TRUE(dev.AllowsRawReads());
+
+  AsyncIoEngine::Options o = EngineOptions(1);
+  o.queue_depth = 32;
+  AsyncIoEngine engine(o);
+  if (!engine.using_io_uring()) {
+    GTEST_SKIP() << "no io_uring: every read is its own pick";
+  }
+  char gated_buf[64];
+  AsyncIoEngine::Batch blocker(&engine);
+  ASSERT_TRUE(blocker.Submit(&gated, 0, gated_buf, 64, 0).ok());
+  // The worker has picked the gated read once its queue wait is recorded.
+  while (engine.queue_wait().count() == 0) std::this_thread::yield();
+
+  constexpr size_t kWaves = 8;
+  std::vector<std::unique_ptr<AsyncIoEngine::Batch>> waves;
+  std::vector<std::vector<char>> bufs(kWaves, std::vector<char>(64));
+  for (size_t i = 0; i < kWaves; ++i) {
+    waves.push_back(std::make_unique<AsyncIoEngine::Batch>(&engine));
+    ASSERT_TRUE(waves[i]->Submit(&dev, i * 64, bufs[i].data(), 64, i).ok());
+  }
+  gated.Release();
+  AsyncIoEngine::Completion c;
+  for (size_t i = 0; i < kWaves; ++i) {
+    ASSERT_TRUE(waves[i]->WaitOne(&c));
+    EXPECT_TRUE(c.status.ok());
+    EXPECT_TRUE(MatchesPattern(bufs[i].data(), i * 64, 64));
+  }
+  EXPECT_EQ(engine.stats().ring_bursts, 1u);
+}
+
+// Every picked request records its submit-to-pick wait.
+TEST_P(AsyncIoTest, QueueWaitRecordedPerRequest) {
+  TempDir dir;
+  FileDevice dev;
+  ASSERT_TRUE(dev.Open(dir.File("data")).ok());
+  FillPattern(&dev, 8192);
+
+  AsyncIoEngine engine(EngineOptions(2));
+  std::vector<char> bufs(8 * 64);  // outlives the batch's reads
+  {
+    AsyncIoEngine::Batch batch(&engine);
+    for (uint64_t i = 0; i < 8; ++i) {
+      ASSERT_TRUE(batch.Submit(&dev, i * 64, &bufs[i * 64], 64, i).ok());
+    }
+  }  // the destructor collects every completion
+  EXPECT_EQ(engine.queue_wait().count(), 8u);
 }
 
 TEST_P(AsyncIoTest, WritesLandCorrectBytes) {

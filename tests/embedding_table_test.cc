@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -116,6 +118,59 @@ TEST(MlkvTest, LookaheadPromotesColdKeysToMemory) {
   t->WaitLookahead();
   for (Key k : cold) EXPECT_TRUE(t->store()->IsInMemory(k)) << k;
   EXPECT_GE(t->store()->stats().promotions, cold.size());
+}
+
+// A call's repeated keys are prefetched once: every promote attempt is
+// counted as a promotion or a skipped promotion, so their sum is the
+// number of distinct cold keys, not the number of occurrences.
+TEST(MlkvTest, LookaheadPrefetchesEachDistinctKeyOnce) {
+  TempDir dir;
+  std::unique_ptr<Mlkv> db;
+  ASSERT_TRUE(Mlkv::Open(SmallMlkv(dir), &db).ok());
+  EmbeddingTable* t = nullptr;
+  ASSERT_TRUE(db->OpenTable("emb", 16, kAspBound, &t).ok());
+  std::vector<float> v(16, 0.5f);
+  for (Key k = 0; k < 4000; ++k) ASSERT_TRUE(t->Put({&k, 1}, v.data()).ok());
+  const std::vector<Key> cold = {0, 1, 2, 3};
+  for (Key k : cold) ASSERT_FALSE(t->store()->IsInMemory(k)) << k;
+  std::vector<Key> repeated;
+  for (int r = 0; r < 5; ++r) {
+    repeated.insert(repeated.end(), cold.begin(), cold.end());
+  }
+  const FasterStatsSnapshot before = t->store()->stats();
+  ASSERT_TRUE(t->Lookahead(repeated).ok());
+  t->WaitLookahead();
+  const FasterStatsSnapshot after = t->store()->stats();
+  for (Key k : cold) EXPECT_TRUE(t->store()->IsInMemory(k)) << k;
+  EXPECT_EQ(after.promotions + after.promotions_skipped -
+                before.promotions - before.promotions_skipped,
+            cold.size());
+  EXPECT_EQ(t->lookahead_dropped(), 0u);
+}
+
+// A shard batch the lookahead pool refuses is dropped (prefetch is
+// best-effort) and counted, one per shard the call touched.
+TEST(MlkvTest, LookaheadCountsRefusedShardBatches) {
+  TempDir dir;
+  ShardedStoreOptions so;
+  so.store.path = dir.File("store.log");
+  so.store.index_slots = 1024;
+  so.store.page_size = 4096;
+  so.store.mem_size = 64 * 4096;
+  so.shard_bits = 2;
+  auto store = std::make_unique<ShardedStore>();
+  ASSERT_TRUE(store->Open(so).ok());
+  ThreadPool refusing(1, /*max_queue=*/0);  // TrySubmit always fails
+  EmbeddingTable t("emb", 4, kAspBound, std::move(store), &refusing);
+  std::vector<Key> keys(64);
+  std::set<size_t> shards;
+  for (Key k = 0; k < keys.size(); ++k) {
+    keys[k] = k;
+    shards.insert(t.store()->ShardIndexOf(k));
+  }
+  ASSERT_TRUE(t.Lookahead(keys).ok());
+  t.WaitLookahead();  // nothing was queued, so nothing to wait for
+  EXPECT_EQ(t.lookahead_dropped(), shards.size());
 }
 
 TEST(MlkvTest, LookaheadToApplicationCache) {

@@ -199,6 +199,24 @@ TEST(ExpositionTest, CollectorSamplesMergeUnderNativeFamily) {
   EXPECT_TRUE(Contains(text, "foo_total 1"));
 }
 
+TEST(ExpositionTest, CollectorHistogramIsSnapshotAtCollectTime) {
+  MetricsRegistry reg;
+  Histogram h;
+  h.Record(50);    // 50 us
+  h.Record(2000);  // 2 ms
+  const uint64_t id = reg.AddCollector([&h](MetricsSink* sink) {
+    sink->AddHistogram("qw_seconds", "Queue wait.", h);
+  });
+  const std::string text = reg.ExpositionText();
+  EXPECT_TRUE(Contains(text, "# TYPE qw_seconds histogram"));
+  EXPECT_TRUE(Contains(text, "qw_seconds_bucket{le=\"0.0001\"} 1"));
+  EXPECT_TRUE(Contains(text, "qw_seconds_bucket{le=\"0.0025\"} 2"));
+  EXPECT_TRUE(Contains(text, "qw_seconds_bucket{le=\"+Inf\"} 2"));
+  EXPECT_TRUE(Contains(text, "qw_seconds_sum 0.00205"));
+  EXPECT_TRUE(Contains(text, "qw_seconds_count 2"));
+  reg.RemoveCollector(id);
+}
+
 // --- /metrics endpoint ---------------------------------------------------
 
 TEST(MetricsHttpTest, ServesExpositionAnd404) {
@@ -332,6 +350,37 @@ TEST(KvServerObsTest, StatsSnapshotIsViewOverRegistry) {
   EXPECT_TRUE(Contains(text, "mlkv_io_disk_record_reads_total"));
   EXPECT_TRUE(Contains(text, "mlkv_request_stage_seconds_bucket"));
   server.Stop();
+}
+
+// An MLKV backend exports its engine's queue-wait histogram and the
+// lookahead drop counter; a cold read records one wait per device read.
+TEST(KvServerObsTest, MlkvScrapeHasQueueWaitAndLookaheadDrops) {
+  TempDir dir;
+  BackendConfig cfg;
+  cfg.dir = dir.File("b");
+  cfg.dim = 8;
+  cfg.buffer_bytes = 1u << 16;
+  cfg.index_slots = 4096;
+  std::unique_ptr<KvBackend> backend;
+  ASSERT_TRUE(MakeBackend(BackendKind::kMlkv, cfg, &backend).ok());
+  constexpr size_t kN = 4000;
+  std::vector<Key> keys(kN);
+  std::vector<float> rows(kN * 8, 1.0f);
+  for (size_t i = 0; i < kN; ++i) keys[i] = i;
+  ASSERT_TRUE(backend->MultiPut(keys, rows.data()).AllOk());
+  std::vector<float> out(64 * 8);
+  MultiGetOptions untracked;
+  untracked.untracked = true;
+  ASSERT_TRUE(backend
+                  ->MultiGet(std::span<const Key>(keys).first(64), out.data(),
+                             untracked)
+                  .AllOk());
+  net::KvServer server(std::move(backend));
+  const std::string text = server.metrics()->ExpositionText();
+  EXPECT_TRUE(Contains(text, "# TYPE mlkv_io_queue_wait_seconds histogram"));
+  EXPECT_TRUE(Contains(text, "mlkv_io_queue_wait_seconds_count "));
+  EXPECT_FALSE(Contains(text, "mlkv_io_queue_wait_seconds_count 0\n"));
+  EXPECT_TRUE(Contains(text, "mlkv_lookahead_dropped_total 0"));
 }
 
 TEST(KvServerObsTest, TwoServersKeepSeparateRegistries) {
