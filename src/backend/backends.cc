@@ -140,6 +140,10 @@ void EmitStoreMetrics(ShardedStore* store, obs::MetricsSink* sink) {
   sink->AddCounter("mlkv_store_read_promotions_total",
                    "Disk-served reads copied to the log tail",
                    s.read_promotions);
+  sink->AddCounter("mlkv_store_read_hops_total",
+                   "Pending-read chain hops: disk reads that found another "
+                   "key's record",
+                   s.read_hops);
   sink->AddCounter("mlkv_store_staleness_waits_total",
                    "Reads that waited out the staleness bound",
                    s.staleness_waits);
@@ -156,7 +160,8 @@ void EmitStoreMetrics(ShardedStore* store, obs::MetricsSink* sink) {
   sink->AddGauge("mlkv_store_log_span_bytes",
                  "Bytes spanned by the hybrid log (begin to tail)",
                  static_cast<double>(store->log_span_bytes()));
-  sink->AddGauge("mlkv_store_index_slots", "Hash index slot count",
+  sink->AddGauge("mlkv_store_index_slots",
+                 "Hash index words (8 per 64-byte bucket)",
                  static_cast<double>(store->index_slots()));
   if (const AsyncIoEngine* io = store->options().store.io) {
     sink->AddHistogram("mlkv_io_queue_wait_seconds",

@@ -9,12 +9,17 @@ namespace mlkv {
 
 namespace {
 
-// Checkpoint metadata block. The v1 layout ("MLKV3CHK", no delta_count
-// field) is what full checkpoints still write — byte-identical to every
-// prior release; incremental checkpoints write the extended v2 block
-// ("MLKV4CHK") committed via write-tmp-then-rename. Recovery accepts both.
+// Checkpoint metadata block, v3 ("MLKV5CHK"): the index files hold tagged
+// bucket words (kv/hash_index.h). Full and incremental checkpoints write
+// the same block; a full one names zero deltas. Recovery rejects v1
+// ("MLKV3CHK") and v2 ("MLKV4CHK") metas: their index files hold one
+// untagged chain head per slot, which the tagged layout cannot read.
+constexpr uint64_t kMetaMagicV1 = 0x4D4C4B563343484Bull;  // "MLKV3CHK"
+constexpr uint64_t kMetaMagicV2 = 0x4D4C4B563443484Bull;  // "MLKV4CHK"
+constexpr uint64_t kMetaMagicV3 = 0x4D4C4B563543484Bull;  // "MLKV5CHK"
+
 struct CheckpointMeta {
-  uint64_t magic = 0x4D4C4B563343484Bull;  // "MLKV3CHK"
+  uint64_t magic = kMetaMagicV3;
   uint64_t tail = 0;
   uint64_t index_slots = 0;
   uint64_t num_inserts = 0;
@@ -22,15 +27,10 @@ struct CheckpointMeta {
   // Effective page size (Open may shrink the configured one for small
   // buffers); recovery must parse the log with the same geometry.
   uint64_t page_size = 0;
-  // --- v2 only ---
   // Number of <prefix>.idx.d<k> delta files (k = 1..delta_count) to apply,
   // in order, on top of the <prefix>.idx base.
   uint64_t delta_count = 0;
 };
-
-constexpr uint64_t kMetaMagicV1 = 0x4D4C4B563343484Bull;  // "MLKV3CHK"
-constexpr uint64_t kMetaMagicV2 = 0x4D4C4B563443484Bull;  // "MLKV4CHK"
-constexpr size_t kMetaSizeV1 = sizeof(CheckpointMeta) - sizeof(uint64_t);
 
 std::string DeltaPath(const std::string& prefix, uint64_t k) {
   return prefix + ".idx.d" + std::to_string(k);
@@ -161,6 +161,11 @@ restart:
     if (meta.key == key) {
       out->address = a;
       out->meta = meta;
+      // A resident header may carry another thread's lock or replaced bit
+      // (the read-only boundary can pass a record while it is locked); a
+      // copy made from this meta must not inherit either, or the new
+      // version is born locked or replaced and every later op spins on it.
+      out->meta.control = ControlWord::Sanitize(meta.control);
       out->in_memory = in_memory;
       out->found = true;
       return Status::OK();
@@ -403,6 +408,7 @@ FasterStore::PendingStep FasterStore::CompletePendingRead(
   }
   if (meta.key != p->key) {
     // Collision: the chain continues below the fetched record.
+    stats_.read_hops.fetch_add(1, std::memory_order_relaxed);
     const Address prev = meta.prev;
     if (prev == kInvalidAddress || prev < log_.begin_address()) {
       p->status = Status::NotFound();
@@ -512,9 +518,9 @@ Status FasterStore::Upsert(Key key, const void* value, uint32_t size) {
         f.meta.value_size != size || (f.meta.flags & kRecordTombstone)) {
       // RCU: append a new version. A Put only lowers staleness (§III-C1),
       // so it never waits; the new version carries staleness-1, gen+1.
-      uint64_t control = ControlWord::Sanitize(f.meta.control);
-      control = ControlWord::IncrGeneration(
-          tracked ? ControlWord::DecrStaleness(control) : control);
+      const uint64_t control = ControlWord::IncrGeneration(
+          tracked ? ControlWord::DecrStaleness(f.meta.control)
+                  : f.meta.control);
       Status s = AppendAndPublish(key, value, size, control, 0, f.chain_head,
                                   nullptr);
       if (s.IsBusy()) continue;
@@ -678,8 +684,8 @@ Status FasterStore::PromoteInternal(Key key, FindResult* walk) {
     MLKV_RETURN_NOT_OK(
         LoadValue(f.address, f.meta, value.data(), f.meta.value_size));
     Status s = AppendAndPublish(key, value.data(), f.meta.value_size,
-                                ControlWord::Sanitize(f.meta.control),
-                                f.meta.flags, f.chain_head, nullptr);
+                                f.meta.control, f.meta.flags, f.chain_head,
+                                nullptr);
     if (s.IsBusy()) {
       // Another thread updated the key concurrently ("no other threads
       // updating it"); their version is newer — skip.
@@ -868,9 +874,7 @@ Status FasterStore::CheckpointFull(const std::string& prefix) {
   meta.num_inserts = stats_.inserts.load(std::memory_order_relaxed);
   meta.begin = log_.begin_address();
   meta.page_size = options_.page_size;
-  // v1 length: a full checkpoint stays byte-identical to prior releases
-  // (delta_count is implicitly 0 — recovery's past-EOF read zero-fills it).
-  MLKV_RETURN_NOT_OK(meta_dev.WriteAt(0, &meta, kMetaSizeV1));
+  MLKV_RETURN_NOT_OK(meta_dev.WriteAt(0, &meta, sizeof(meta)));
   MLKV_RETURN_NOT_OK(meta_dev.Sync());
   FileDevice idx_dev;
   MLKV_RETURN_NOT_OK(idx_dev.Open(prefix + ".idx"));
@@ -895,7 +899,6 @@ Status FasterStore::CheckpointIncremental(const std::string& prefix) {
                        ckpt_.deltas < kMaxCheckpointDeltas;
 
   CheckpointMeta meta;
-  meta.magic = kMetaMagicV2;
   meta.tail = tail;
   meta.index_slots = index()->num_slots();
   meta.num_inserts = stats_.inserts.load(std::memory_order_relaxed);
@@ -910,17 +913,19 @@ Status FasterStore::CheckpointIncremental(const std::string& prefix) {
     MLKV_RETURN_NOT_OK(idx_dev.Sync());
     meta.delta_count = 0;
   } else {
-    // Delta: (slot, head) pairs for slots whose head moved at or past the
-    // previous checkpoint's tail. Publishes only ever install addresses at
-    // the then-current tail, so every head changed since that checkpoint —
-    // and no head captured by it — satisfies the predicate.
+    // Delta: (word index, word) pairs for index entries whose address
+    // moved at or past the previous checkpoint's tail. Publishes only ever
+    // install addresses at the then-current tail, so every entry changed
+    // since that checkpoint (a new tag included) — and no entry captured by
+    // it — satisfies the predicate. The words carry their tags.
     std::vector<uint64_t> pairs;
     const uint64_t n = index()->num_slots();
-    for (uint64_t s = 0; s < n; ++s) {
-      const Address a = index()->LoadSlot(s);
+    for (uint64_t i = 0; i < n; ++i) {
+      const uint64_t w = index()->LoadWord(i);
+      const Address a = HashIndex::AddressOf(w);
       if (a == kInvalidAddress || a < ckpt_.tail) continue;
-      pairs.push_back(s);
-      pairs.push_back(a);
+      pairs.push_back(i);
+      pairs.push_back(w);
     }
     meta.delta_count = ckpt_.deltas + 1;
     FileDevice delta_dev;
@@ -934,7 +939,7 @@ Status FasterStore::CheckpointIncremental(const std::string& prefix) {
     MLKV_RETURN_NOT_OK(delta_dev.Sync());
   }
 
-  // Commit point: the v2 meta names the base + delta set, and it appears
+  // Commit point: the meta names the base + delta set, and it appears
   // atomically via rename — a crash before this keeps the previous
   // checkpoint fully intact, after it the new chain is complete.
   const std::string tmp = prefix + ".meta.tmp";
@@ -962,10 +967,13 @@ Status FasterStore::Recover(const FasterOptions& options,
   FileDevice meta_dev;
   MLKV_RETURN_NOT_OK(meta_dev.Open(prefix + ".meta", /*truncate=*/false));
   CheckpointMeta meta;
-  // One read serves both versions: a v1 file is sizeof(uint64_t) shorter
-  // and the past-EOF zero-fill leaves delta_count == 0.
   MLKV_RETURN_NOT_OK(meta_dev.ReadAt(0, &meta, sizeof(meta)));
-  if (meta.magic != kMetaMagicV1 && meta.magic != kMetaMagicV2) {
+  if (meta.magic == kMetaMagicV1 || meta.magic == kMetaMagicV2) {
+    return Status::NotSupported(
+        "checkpoint meta v1/v2 holds an untagged hash index; this build "
+        "recovers only v3 (tagged buckets)");
+  }
+  if (meta.magic != kMetaMagicV3) {
     return Status::Corruption("bad checkpoint magic");
   }
   if (meta.page_size != 0) options_.page_size = meta.page_size;
@@ -985,11 +993,11 @@ Status FasterStore::Recover(const FasterOptions& options,
                                           pairs.size() * sizeof(uint64_t)));
     }
     for (uint64_t i = 0; i < count; ++i) {
-      const uint64_t slot = pairs[2 * i];
-      if (slot >= index()->num_slots()) {
-        return Status::Corruption("checkpoint delta slot out of range");
+      const uint64_t pos = pairs[2 * i];
+      if (pos >= index()->num_slots()) {
+        return Status::Corruption("checkpoint delta word out of range");
       }
-      index()->StoreSlot(slot, pairs[2 * i + 1]);
+      index()->StoreWord(pos, pairs[2 * i + 1]);
     }
   }
 
@@ -1109,6 +1117,7 @@ FasterStatsSnapshot FasterStore::stats() const {
       stats_.async_reads_completed.load(std::memory_order_relaxed);
   s.async_reads_refetched =
       stats_.async_reads_refetched.load(std::memory_order_relaxed);
+  s.read_hops = stats_.read_hops.load(std::memory_order_relaxed);
   const auto& ls = log_.stats();
   s.disk_record_reads = ls.disk_record_reads.load(std::memory_order_relaxed);
   s.pages_flushed = ls.pages_flushed.load(std::memory_order_relaxed);
@@ -1142,6 +1151,7 @@ void FasterStore::ResetStats() {
   stats_.async_reads_submitted.store(0);
   stats_.async_reads_completed.store(0);
   stats_.async_reads_refetched.store(0);
+  stats_.read_hops.store(0);
 }
 
 }  // namespace mlkv

@@ -35,7 +35,8 @@ namespace mlkv {
 
 struct FasterOptions {
   std::string path;                    // backing log file
-  uint64_t index_slots = 1ull << 20;   // hash index size (rounded to pow2)
+  // Hash index words, 8 per 64-byte bucket (rounded up to a power of two).
+  uint64_t index_slots = 1ull << 20;
   // Log page size. Open() halves it (down to 4 KiB) until at least four
   // pages fit in mem_size, so tiny buffer budgets work out of the box.
   uint64_t page_size = 1ull << 20;
@@ -96,6 +97,9 @@ struct FasterStatsSnapshot {
   // (record moved mid-flight / staleness wait).
   uint64_t async_reads_submitted = 0, async_reads_completed = 0;
   uint64_t async_reads_refetched = 0;
+  // Pending-read chain hops: disk fetches that found another key's record
+  // and had to follow its prev link.
+  uint64_t read_hops = 0;
   // Write pipeline: pages submitted to / completed by async flush waves,
   // fdatasyncs issued (log's own plus the GroupCommitter's), and fsyncs
   // that covered more than one committer (the group-commit win).
@@ -155,8 +159,8 @@ class FasterStore {
   Status Promote(Key key);
 
   // Inserts an absent `key` (generation 0, staleness 0) against
-  // `expected_head`: the index slot head of the chain walk that found the
-  // key absent, so no second walk is needed. Busy when the slot moved since
+  // `expected_head`: the index head of the chain walk that found the key
+  // absent, so no second walk is needed. Busy when the head moved since
   // (a racing publish may have inserted the key); the caller re-decides,
   // e.g. with Rmw.
   Status InsertIfAbsent(Key key, const void* value, uint32_t size,
@@ -170,7 +174,7 @@ class FasterStore {
   // blocking semantics (including NotFound and Busy). When the walk reached
   // a disk-resident address, *pending is a PendingRead primed for a
   // PendingReadWave (the returned status is then OK). Either way
-  // *chain_head (when non-null) is the index slot head the walk started
+  // *chain_head (when non-null) is the index head the walk started
   // from. `bound == UINT32_MAX` uses the store-level bound.
   Status StartRead(Key key, void* out, uint32_t cap, uint32_t bound,
                    bool tracked, std::unique_ptr<PendingRead>* pending,
@@ -236,12 +240,12 @@ class FasterStore {
 
   // Doubles the hash index `factor_log2` times. Existing chains stay
   // reachable immediately; they thin out as subsequent publishes use the
-  // refined slots. Quiesced operation: callers must ensure no concurrent
+  // refined buckets. Quiesced operation: callers must ensure no concurrent
   // store operations (same contract as Checkpoint).
   Status GrowIndex(uint32_t factor_log2 = 1);
 
   // Quiesced maintenance policy: grows the index (doubling as many times as
-  // needed) whenever live keys exceed `max_load` keys per slot.
+  // needed) whenever live keys exceed `max_load` keys per index word.
   Status MaybeGrowIndex(double max_load = 1.5);
 
   // Durability point: makes every operation that completed before this call
@@ -257,9 +261,9 @@ class FasterStore {
   // operations. checkpoint_mode == kFull writes the classic pair
   // (<prefix>.meta, <prefix>.idx: full log flush + full index dump).
   // kIncremental persists only dirty/undurable pages and appends an index
-  // delta (<prefix>.idx.d<N>: slots whose head moved since the previous
-  // checkpoint) onto the chain under the same prefix, committing by
-  // atomically renaming the v2 .meta into place; a fresh base (full .idx)
+  // delta (<prefix>.idx.d<N>: index words whose address moved since the
+  // previous checkpoint) onto the chain under the same prefix, committing by
+  // atomically renaming the .meta into place; a fresh base (full .idx)
   // is forced on a new prefix, after index growth, or past the delta cap.
   Status Checkpoint(const std::string& prefix);
   // Reopens the store from a checkpoint taken with the same options: base
@@ -277,6 +281,7 @@ class FasterStore {
   FasterStatsSnapshot stats() const;
   void ResetStats();
   uint64_t index_slots() const { return index_->num_slots(); }
+  const HashIndex& hash_index() const { return *index_; }
   const HybridLog& log() const { return log_; }
   HybridLog* mutable_log() { return &log_; }
   const FasterOptions& options() const { return options_; }
@@ -289,9 +294,9 @@ class FasterStore {
  private:
   struct FindResult {
     Address address = kInvalidAddress;  // the matching record (if found)
-    // Chain head observed in the index slot at lookup time. All publishes
-    // CAS the slot from this value and link the new record's prev to it, so
-    // colliding keys in one slot keep a single consistent chain.
+    // Chain head observed in the index at lookup time. All publishes CAS
+    // the key's index entry from this value and link the new record's prev
+    // to it, so keys sharing an entry keep a single consistent chain.
     Address chain_head = kInvalidAddress;
     // Memory-only walks: the first disk-resident chain address, where the
     // walk stopped (found stays false); kInvalidAddress otherwise.
@@ -335,7 +340,7 @@ class FasterStore {
   // Copies the value bytes of the record at `address`.
   Status LoadValue(Address address, const RecordMeta& meta, void* out,
                    uint32_t cap);
-  // Walks the hash chain from the index slot looking for `key`. With
+  // Walks the hash chain from the key's index entry looking for `key`. With
   // `memory_only` the walk stops at the first disk-resident address
   // (out->disk_stop) instead of reading it.
   Status Find(Key key, FindResult* out, bool memory_only = false);
@@ -363,6 +368,7 @@ class FasterStore {
     std::atomic<uint64_t> compactions{0}, compaction_live_copied{0};
     std::atomic<uint64_t> async_reads_submitted{0}, async_reads_completed{0};
     std::atomic<uint64_t> async_reads_refetched{0};
+    std::atomic<uint64_t> read_hops{0};
   };
 
   // Maps the (page-size-adjusted) store options onto the log's.
@@ -382,7 +388,7 @@ class FasterStore {
     std::string prefix;       // empty: no chain, next checkpoint is a base
     Address tail = 0;         // log tail the last checkpoint covered
     uint64_t deltas = 0;      // delta files written under this prefix
-    uint64_t index_slots = 0; // slot count the chain's files assume
+    uint64_t index_slots = 0; // index word count the chain's files assume
   };
   // Replaying an ever-longer delta chain on recovery caps here; the next
   // checkpoint then rolls a fresh base.

@@ -119,9 +119,8 @@ bool ShardedStore::BuildScatter(std::span<const Key> keys, bool stop_on_error,
 
   // Stable counting sort of caller indices by bucket: bucket b's sub-batch
   // is order[offset[b] .. offset[b+1]), in caller order. Hash buckets use
-  // bits 32..47 of the key hash — disjoint from both ShardOf (bits 48..)
-  // and the HashIndex slot bits (low) — so chunking stays balanced and
-  // index-neutral.
+  // bits 32..47 of the key hash — disjoint from ShardOf (bits 48..) and
+  // from the HashIndex bucket bits (low) — so chunking stays balanced.
   std::vector<uint32_t> bucket_of(n);
   std::vector<uint32_t> offset(num_buckets + 1, 0);
   for (size_t i = 0; i < n; ++i) {
@@ -414,6 +413,7 @@ FasterStatsSnapshot ShardedStore::stats() const {
     total.async_reads_submitted += s.async_reads_submitted;
     total.async_reads_completed += s.async_reads_completed;
     total.async_reads_refetched += s.async_reads_refetched;
+    total.read_hops += s.read_hops;
     total.async_writes_submitted += s.async_writes_submitted;
     total.async_writes_completed += s.async_writes_completed;
     total.fsyncs += s.fsyncs;

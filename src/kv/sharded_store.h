@@ -6,8 +6,8 @@
 // tail, allocation lock, or index slot.
 //
 // Routing: shard = ShardOf(Hash64(key), mask) (common/hash.h), which takes
-// the TOP hash bits so the per-shard HashIndex (low bits) still uses its
-// whole slot array.
+// hash bits 48 and up, so the per-shard HashIndex (bucket from the low
+// bits, tag from bits 33-47) still uses all its buckets and tags.
 //
 // Layout: with shard_bits == 0 the store is byte-for-byte the single
 // FasterStore it wraps — same log file, same checkpoint files — so legacy

@@ -34,8 +34,9 @@ namespace mlkv {
 
 struct MlkvOptions {
   std::string dir;                     // directory for table log files
-  // TOTAL hash-index slots per table, split evenly across that table's
-  // shards: each shard receives index_slots >> shard_bits (floored at
+  // TOTAL hash-index words per table (8 bytes each, 8 per 64-byte tagged
+  // bucket; kv/hash_index.h), split evenly across that table's shards:
+  // each shard receives index_slots >> shard_bits (floored at
   // ShardedStore::kMinShardIndexSlots), then rounds its slice up to a
   // power of two — so the realized total can exceed the configured value.
   uint64_t index_slots = 1ull << 20;

@@ -679,6 +679,37 @@ TEST(FsyncFaultTest, CheckpointSurfacesInjectedFsyncFailure) {
   ASSERT_TRUE(store.Checkpoint(dir.File("good2")).ok());
 }
 
+// Checkpoint metas v1 ("MLKV3CHK") and v2 ("MLKV4CHK") name index files of
+// untagged slot words. Recovery refuses them with NotSupported rather than
+// reading those words as tagged buckets.
+TEST(CheckpointFormatTest, RecoverRejectsUntaggedIndexMetas) {
+  TempDir dir;
+  const FasterOptions o = GroupStore(dir);
+  struct LegacyMeta {  // the v2 block; v1 is the same minus delta_count
+    uint64_t magic, tail, index_slots, num_inserts, begin, page_size;
+    uint64_t delta_count;
+  };
+  const struct {
+    uint64_t magic;
+    size_t bytes;
+  } legacy[] = {{0x4D4C4B563343484Bull, sizeof(LegacyMeta) - 8},
+                {0x4D4C4B563443484Bull, sizeof(LegacyMeta)}};
+  for (const auto& v : legacy) {
+    const std::string prefix = dir.File("old" + std::to_string(v.bytes));
+    const LegacyMeta meta{v.magic, 4096, 1024, 3, 64, o.page_size, 0};
+    std::ofstream(prefix + ".meta", std::ios::binary)
+        .write(reinterpret_cast<const char*>(&meta),
+               static_cast<std::streamsize>(v.bytes));
+    const std::vector<uint64_t> slots(1024, 0);
+    std::ofstream(prefix + ".idx", std::ios::binary)
+        .write(reinterpret_cast<const char*>(slots.data()),
+               static_cast<std::streamsize>(slots.size() * 8));
+    FasterStore store;
+    const Status s = store.Recover(o, prefix);
+    EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+  }
+}
+
 // The GroupCommitter's error model: a failed fsync is sticky. Even after
 // the device "heals", later Persist calls keep failing — after an fsync
 // error the kernel may have dropped dirty pages, so durability can never

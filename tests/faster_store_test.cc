@@ -159,6 +159,34 @@ TEST(FasterStoreTest, RmwOnColdRecordPreservesCounter) {
   EXPECT_EQ(v, 2);
 }
 
+// The read-only boundary does not wait for in-place pins, so a record can
+// go read-only while a reader holds its lock. A copy made from it (Rmw's
+// RCU, Delete's tombstone) must not inherit the lock bit: a new version born
+// locked makes every later operation on the key spin for good.
+TEST(FasterStoreTest, CopyOfALockedReadOnlyRecordIsUnlocked) {
+  TempDir dir;
+  FasterStore store;
+  ASSERT_TRUE(store.Open(SmallStore(dir)).ok());
+  auto add_one = [](char* value, uint32_t, bool) { ++value[0]; };
+  for (const bool rmw : {true, false}) {
+    const Key key = rmw ? 1 : 2;
+    const uint64_t v = 7;
+    ASSERT_TRUE(store.Upsert(key, &v, sizeof(v)).ok());
+    const Address old_head = store.hash_index().Load(key);
+    reinterpret_cast<Record*>(store.mutable_log()->MutablePointer(old_head))
+        ->control.fetch_or(ControlWord::kLockedBit);  // a reader's lock
+    store.mutable_log()->SealMutableRegion();
+    ASSERT_TRUE((rmw ? store.Rmw(key, sizeof(v), add_one) : store.Delete(key))
+                    .ok());
+    const Address head = store.hash_index().Load(key);
+    ASSERT_NE(head, old_head);
+    const uint64_t control =
+        reinterpret_cast<Record*>(store.mutable_log()->MutablePointer(head))
+            ->control.load();
+    EXPECT_FALSE(ControlWord::Locked(control)) << (rmw ? "Rmw" : "Delete");
+  }
+}
+
 TEST(FasterStoreTest, PromoteMovesDiskRecordToMemory) {
   TempDir dir;
   FasterStore store;

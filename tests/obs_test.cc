@@ -383,6 +383,38 @@ TEST(KvServerObsTest, MlkvScrapeHasQueueWaitAndLookaheadDrops) {
   EXPECT_TRUE(Contains(text, "mlkv_lookahead_dropped_total 0"));
 }
 
+// Both hybrid-log backends export the pending-read chain-hop counter.
+TEST(KvServerObsTest, StoreScrapeHasReadHops) {
+  for (const BackendKind kind : {BackendKind::kMlkv, BackendKind::kFaster}) {
+    TempDir dir;
+    BackendConfig cfg;
+    cfg.dir = dir.File("b");
+    cfg.dim = 8;
+    cfg.buffer_bytes = 1u << 16;
+    cfg.index_slots = 4096;
+    std::unique_ptr<KvBackend> backend;
+    ASSERT_TRUE(MakeBackend(kind, cfg, &backend).ok());
+    constexpr size_t kN = 4000;
+    std::vector<Key> keys(kN);
+    std::vector<float> rows(kN * 8, 1.0f);
+    for (size_t i = 0; i < kN; ++i) keys[i] = i;
+    ASSERT_TRUE(backend->MultiPut(keys, rows.data()).AllOk());
+    std::vector<float> out(64 * 8);
+    MultiGetOptions untracked;
+    untracked.untracked = true;
+    ASSERT_TRUE(backend
+                    ->MultiGet(std::span<const Key>(keys).first(64),
+                               out.data(), untracked)
+                    .AllOk());
+    net::KvServer server(std::move(backend));
+    const std::string text = server.metrics()->ExpositionText();
+    EXPECT_TRUE(Contains(text, "# TYPE mlkv_store_read_hops_total counter"))
+        << BackendKindName(kind);
+    EXPECT_TRUE(Contains(text, "\nmlkv_store_read_hops_total "))
+        << BackendKindName(kind);
+  }
+}
+
 TEST(KvServerObsTest, TwoServersKeepSeparateRegistries) {
   net::KvServer a(MakeInMemory());
   net::KvServer b(MakeInMemory());

@@ -17,7 +17,6 @@
 #include "io/async_io.h"
 #include "io/faulty_file_device.h"
 #include "io/temp_dir.h"
-#include "common/hash.h"
 #include "kv/batch_read.h"
 #include "kv/faster_store.h"
 #include "kv/sharded_store.h"
@@ -442,16 +441,15 @@ TEST(PendingReadTest, MlkvWaveMatchesBlockingReadsAndLookahead) {
   db.reset();
 }
 
-// A key absent from `store` whose index slot is the same as `key`'s.
-Key SlotMateOf(const FasterStore& store, Key key, Key first_candidate) {
-  const uint64_t mask = store.index_slots() - 1;
+// A key absent from `store` that would join `key`'s record chain.
+Key ChainMateOf(const FasterStore& store, Key key, Key first_candidate) {
   Key k = first_candidate;
-  while ((Hash64(k) & mask) != (Hash64(key) & mask)) ++k;
+  while (!store.hash_index().SharesChain(k, key)) ++k;
   return k;
 }
 
 TEST(PendingReadTest, GetOrInitInsertsAgainstTheWalkedChainHead) {
-  // An absent key whose slot chain is one disk-resident record: the wave
+  // An absent key whose chain is one disk-resident record: the wave
   // fetches that record once, and the bootstrap insert goes in against the
   // chain head the walk saw — no second (blocking) walk inside Rmw.
   constexpr uint32_t kDim = 8;
@@ -462,20 +460,19 @@ TEST(PendingReadTest, GetOrInitInsertsAgainstTheWalkedChainHead) {
   ASSERT_TRUE(db->OpenTable("emb", kDim, kAspBound, &table).ok());
   FasterStore* store = table->store()->shard(0);
 
-  // `cold` alone in its slot, buried under fillers from other slots.
+  // `cold` alone in its chain, buried under fillers from other chains.
   const Key cold = 1;
-  const uint64_t mask = store->index_slots() - 1;
   std::vector<float> row(kDim, 0.5f);
   ASSERT_TRUE(table->Put({&cold, 1}, row.data()).ok());
   Key hot = 0;
   for (Key k = 100; k < 3100; ++k) {
-    if ((Hash64(k) & mask) == (Hash64(cold) & mask)) continue;
+    if (store->hash_index().SharesChain(k, cold)) continue;
     ASSERT_TRUE(table->Put({&k, 1}, row.data()).ok());
     hot = k;
   }
   ASSERT_FALSE(store->IsInMemory(cold));
   ASSERT_TRUE(store->IsInMemory(hot));
-  const Key absent = SlotMateOf(*store, cold, 1u << 20);
+  const Key absent = ChainMateOf(*store, cold, 1u << 20);
 
   const FasterStatsSnapshot before = store->stats();
   const std::vector<Key> batch = {absent, hot};
@@ -510,7 +507,7 @@ TEST(PendingReadTest, InitFallsBackToRmwWhenTheSlotMoved) {
   ASSERT_TRUE(store.Open(o).ok());
 
   const Key key = 9;
-  const Key mate = SlotMateOf(store, key, 1000);
+  const Key mate = ChainMateOf(store, key, 1000);
   std::unique_ptr<PendingRead> parked;
   Address head = kInvalidAddress;
   std::vector<float> probe(kDim);
@@ -519,7 +516,7 @@ TEST(PendingReadTest, InitFallsBackToRmwWhenTheSlotMoved) {
                              UINT32_MAX, /*tracked=*/false, &parked, &head)
                   .IsNotFound());
   ASSERT_EQ(parked, nullptr);
-  // A publish to the same slot after the walk moves the head.
+  // A publish to the same chain after the walk moves the head.
   const float mate_row[kDim] = {1, 2, 3, 4};
   ASSERT_TRUE(store.Upsert(mate, mate_row, sizeof(mate_row)).ok());
 
@@ -555,7 +552,7 @@ TEST(PendingReadTest, RacingGetOrInitAgreeAndInsertOnce) {
   OptimizerConfig adagrad;
   adagrad.kind = OptimizerKind::kAdagrad;
   ASSERT_TRUE(db->OpenTable("emb", kDim, kAspBound, &table, adagrad).ok());
-  PutRows(table, 3000);  // most slot chains reach the disk
+  PutRows(table, 3000);  // most chains reach the disk
 
   std::vector<Key> absent;
   for (Key k = 0; k < 64; ++k) absent.push_back((1u << 20) + k * 7);
